@@ -3,11 +3,15 @@ package flashroute
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/cluster"
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/netsim"
+	"github.com/flashroute/flashroute/internal/simclock"
 )
 
 // This file is the chaos half of the cluster test suite (DESIGN.md §15):
@@ -41,14 +45,28 @@ func clusterChaosSim(seed int64, faults []FaultWindow) *Simulation {
 	})
 }
 
-// chaosGridDuration approximates how long the grid scan's probing phase
-// lasts on the virtual clock (the reported ScanTime additionally drags
-// out over rate-limited late deliveries, which carry no discovery).
-// Fault windows are placed at fractions of this span.
-const chaosGridDuration = 20 * time.Second
+// chaosProbeTimes returns the issue times of every probe of an
+// undisturbed K=3 grid scan on the virtual clock, sorted. Fault windows
+// are placed at quantiles of it — "when the scan has done that share of
+// its probing" — rather than at fractions of its duration: the workers
+// start at the same instant and probe statistically identical shards in
+// lockstep rounds, so at the q-quantile every worker still has about 1-q
+// of its probes ahead of it, whereas the scan's last seconds belong to a
+// handful of probes whose worker is decided by stop-set publication races.
+func chaosProbeTimes(t *testing.T, seed int64) []time.Duration {
+	t.Helper()
+	cfg := clusterGridConfig()
+	var ats []time.Duration
+	cfg.Observer = func(_ uint32, _ uint8, at time.Duration) { ats = append(ats, at) }
+	if _, err := clusterGridSim(seed).ScanCluster(cfg, ClusterOptions{Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(ats)
+	return ats
+}
 
 // TestClusterChaosFlapMigrates kills one of three workers by flapping
-// its vantage link at 25/50/75% of the scan — an open-ended outage the
+// its vantage link at 25/50/75% of the scan's probing — an open-ended outage the
 // worker cannot outwait. The engine's send-error abort surfaces the
 // dead transport with a final checkpoint, the coordinator migrates the
 // shard to a surviving vantage with no manual intervention, and the
@@ -60,8 +78,9 @@ func TestClusterChaosFlapMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ats := chaosProbeTimes(t, seed)
 	for _, frac := range []float64{0.25, 0.5, 0.75} {
-		start := time.Duration(float64(chaosGridDuration) * frac)
+		start := ats[int(float64(len(ats))*frac)]
 		sim := clusterChaosSim(seed, []FaultWindow{{
 			Kind: FaultFlap, Start: start, Duration: time.Hour,
 			Scoped: true, Vantage: 1,
@@ -123,8 +142,9 @@ func TestClusterChaosWatchdogStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ats := chaosProbeTimes(t, seed)
 	sim := clusterChaosSim(seed, []FaultWindow{{
-		Kind: FaultFlap, Start: chaosGridDuration / 2, Duration: time.Hour,
+		Kind: FaultFlap, Start: ats[len(ats)/2], Duration: time.Hour,
 		Scoped: true, Vantage: 1,
 	}})
 	res, err := sim.ScanCluster(cfg, ClusterOptions{
@@ -150,6 +170,74 @@ func TestClusterChaosWatchdogStall(t *testing.T) {
 	}
 	if ab := res.Abandoned(); len(ab) != 0 {
 		t.Errorf("abandoned shards %v, want none", ab)
+	}
+	sameAddrSet(t, "reached after watchdog migration", reachedSetCluster(res), reachedSetCluster(base))
+	sameAddrSet(t, "interfaces after watchdog migration",
+		deepInterfaces(res.ForEachRoute), deepInterfaces(base.ForEachRoute))
+}
+
+// slowStartConn is a transport whose first write takes delay of clock
+// time: a worker loop that wedges before its first probe is out.
+type slowStartConn struct {
+	core.PacketConn
+	clock   simclock.Waiter
+	delay   time.Duration
+	started bool
+}
+
+func (c *slowStartConn) WritePacket(pkt []byte) error {
+	if !c.started {
+		c.started = true
+		c.clock.Sleep(c.delay)
+	}
+	return c.PacketConn.WritePacket(pkt)
+}
+
+// TestClusterWatchdogTimesFromRegistration pins when the watchdog starts
+// timing a loop: at its sender's registration on the clock, not at its
+// first probe. Vantage 1's transport wedges on the very first write and
+// is healthy afterwards, so only a watchdog that already times the loop
+// during that write ever sees a stall.
+func TestClusterWatchdogTimesFromRegistration(t *testing.T) {
+	const seed = 5
+	cfg := clusterGridConfig()
+	base, err := clusterGridSim(seed).ScanCluster(cfg, ClusterOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := clusterGridSim(seed)
+	sim.fill(&cfg)
+	var wedged bool
+	env := cluster.Env[uint32]{
+		Fam:   core.IPv4Family(),
+		Base:  cfg.toCore(),
+		Clock: sim.clock,
+		NewConn: func(v int) (core.PacketConn, func() core.PacketReader, error) {
+			c := core.PacketConn(sim.net.NewVantageConn(v))
+			if v == 1 && !wedged {
+				wedged = true
+				c = &slowStartConn{PacketConn: c, clock: sim.clock, delay: 10 * time.Second}
+			}
+			return c, nil, nil
+		},
+	}
+	inner, err := cluster.Scan(context.Background(), env, cluster.Options{
+		Workers:         3,
+		WatchdogTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &ClusterResult{inner: inner}
+	if res.Interrupted() {
+		t.Fatal("healed scan reported Interrupted")
+	}
+	fails := res.Failures()
+	if len(fails) != 1 || res.Migrations() != 1 {
+		t.Fatalf("Failures = %v, Migrations = %d, want one stall and one migration", fails, res.Migrations())
+	}
+	if f := fails[0]; f.Shard != 1 || f.Vantage != 1 || f.Cause != ClusterCauseStall {
+		t.Errorf("failure = %+v, want shard 1 vantage 1 cause stall", f)
 	}
 	sameAddrSet(t, "reached after watchdog migration", reachedSetCluster(res), reachedSetCluster(base))
 	sameAddrSet(t, "interfaces after watchdog migration",

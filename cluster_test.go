@@ -288,3 +288,47 @@ func TestClusterWorkerKillMigratesShard(t *testing.T) {
 		deepInterfaces(res.ForEachRoute),
 		deepInterfaces(base.ForEachRoute))
 }
+
+// TestClusterEmptyShardCompletes pins the launch guard's release point:
+// a worker whose shard sends no probe (every block of it skipped) goes
+// straight to its drain sleep, so the guard must not wait for a first
+// probe — with two of three shards empty the scan still completes, and
+// finds what the single-worker scan of the same universe finds.
+func TestClusterEmptyShardCompletes(t *testing.T) {
+	cfg := clusterGridConfig()
+	cfg.Skip = func(b int) bool { return b != 0 }
+	for _, opt := range []ClusterOptions{
+		{Workers: 3},
+		{Workers: 3, WatchdogTimeout: 2 * time.Second},
+	} {
+		base, err := clusterGridSim(3).ScanCluster(cfg, ClusterOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type outcome struct {
+			res *ClusterResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := clusterGridSim(3).ScanCluster(cfg, opt)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if o.res.Interrupted() || o.res.Migrations() != 0 {
+				t.Fatalf("watchdog %v: interrupted=%v migrations=%d, want a clean scan",
+					opt.WatchdogTimeout, o.res.Interrupted(), o.res.Migrations())
+			}
+			if o.res.Probes() == 0 || o.res.Probes() != base.Probes() {
+				t.Errorf("watchdog %v: probes = %d, K=1 sent %d", opt.WatchdogTimeout, o.res.Probes(), base.Probes())
+			}
+			sameAddrSet(t, "reached", reachedSetCluster(o.res), reachedSetCluster(base))
+		case <-time.After(30 * time.Second):
+			t.Fatalf("watchdog %v: cluster scan with empty shards did not finish", opt.WatchdogTimeout)
+		}
+	}
+}

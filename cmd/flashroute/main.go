@@ -41,12 +41,12 @@ func main() {
 		split      = flag.Int("split", 16, "default split TTL (paper: 16 or 32)")
 		gap        = flag.Int("gap", 5, "forward-probing gap limit")
 		pps        = flag.Int("pps", 100000, "probing rate in packets per second (0 = unthrottled)")
-		senders    = flag.Int("senders", 1, "number of sending goroutines (1 = deterministic paper-faithful mode)")
-		receivers  = flag.Int("receivers", 1, "number of reply-processing workers (1 = paper-faithful inline receiver)")
+		senders    = flag.Int("senders", 1, "number of sending goroutines (1 = the paper's configuration, deterministic on the virtual clock)")
+		receivers  = flag.Int("receivers", 1, "number of workers in the receive pipeline (1 = the paper's single receiving thread)")
 		workers    = flag.Int("workers", 1, "distributed scanning: run K worker loops over distinct vantage ingresses sharing one stop set (sim transport, IPv4 only)")
 		wdTimeout  = flag.Duration("watchdog-timeout", 0, "with -workers: per-worker progress watchdog; a stalled worker's shard migrates to a peer vantage (0 disables self-healing)")
 		maxMigrate = flag.Int("max-migrations", 0, "with -workers: per-shard migration budget before the coordinator abandons a failed shard (0 = default of 3, negative disables)")
-		batch      = flag.Int("batch", 0, "packets per transport call on the send and receive paths (sendmmsg/recvmmsg-style batching; 0 or 1 = classic one-packet-per-call)")
+		batch      = flag.Int("batch", 0, "packets per transport call on the send and receive paths (sendmmsg/recvmmsg-style batching; 0 or 1 = one packet per call)")
 		transport  = flag.String("transport", "sim", "transport backend: sim (bundled Internet simulation) or raw (Linux raw sockets; needs CAP_NET_RAW, -source and -cidrs)")
 		source     = flag.String("source", "", "with -transport raw: the vantage point's source IPv4 address")
 		preprobe   = flag.String("preprobe", "random", "preprobing mode: off, random, hitlist")

@@ -101,30 +101,31 @@ type Config struct {
 	// Unthrottled disables pacing (Table 5 style); a plain zero PPS means
 	// "default 100 Kpps".
 	Unthrottled bool
+	// Senders, Receivers and Batch size the engine's one data path; none
+	// of them selects a different implementation.
+	//
 	// Senders is the number of sending goroutines; the destination
 	// permutation is sharded into that many contiguous slices, each driven
 	// by its own sender with its own pacer so the aggregate rate still
-	// honors PPS. <=0 and 1 both mean a single sender — the paper-faithful
-	// configuration, and the only one whose probe interleaving is
-	// deterministic on the simulation's virtual clock.
+	// honors PPS. <=0 means 1 — the paper's configuration, and the only
+	// one whose probe interleaving is deterministic on the simulation's
+	// virtual clock.
 	Senders int
-	// Receivers is the number of reply-processing workers. With >1 the
-	// receive path is sharded: workers parse packets in parallel and
-	// dispatch each decoded reply to the worker owning block % Receivers
-	// (block-affinity dispatch). <=0 and 1 both mean the classic single
-	// inline receiver — the paper's configuration (§3.2), bit-identical
-	// to previous releases. Simulation-backed scans wire the per-worker
-	// read handles automatically; custom transports must implement
-	// NewReader on their PacketConn (see core.PacketReader).
+	// Receivers is the number of workers in the receive pipeline: workers
+	// parse packets in parallel and dispatch each decoded reply to the
+	// worker owning block % Receivers (block-affinity dispatch). <=0 means
+	// 1 — the paper's single receiving thread (§3.2), which owns every
+	// block and never dispatches. One worker reads the PacketConn itself;
+	// more need per-worker read handles, which simulation-backed and
+	// raw-socket scans wire automatically (custom transports: see
+	// core.PacketReader).
 	Receivers int
-	// Batch is the maximum number of packets moved per transport call on
-	// both the send and receive paths, when the transport supports batch
-	// I/O (core.BatchWriter / core.BatchReader — the simulation and the
-	// raw-socket backend both do). Senders accumulate probes in per-shard
-	// packet arenas and flush before every blocking point, so results are
-	// identical to unbatched operation; receivers pull up to Batch
-	// responses per call into per-worker arenas. 0 and 1 both mean the
-	// classic one-packet-per-call data path.
+	// Batch is the size of the per-sender packet arena and the per-worker
+	// receive arena: the most packets moved per transport call when the
+	// transport supports batch I/O (core.BatchWriter / core.BatchReader —
+	// the simulation and the raw-socket backend both do). Senders flush
+	// their arena before every blocking point, so results do not depend
+	// on it. <=0 means 1: one packet per transport call.
 	Batch int
 
 	// Preprobe selects the preprobing mode (default PreprobeRandom);
@@ -525,7 +526,7 @@ type Footprint = core.Footprint
 // -footprint flag. Routes are assumed collected; the ResultBytes field
 // models every block responding with hops out to the mean route length.
 func EstimateFootprint(blocks int) Footprint {
-	return core.EstimateFootprint(blocks, core.LockMutex)
+	return core.EstimateFootprint(blocks)
 }
 
 // CountBlocks returns the number of /24 blocks the given CIDRs cover —

@@ -237,6 +237,16 @@ type Run[A comparable] struct {
 	probes atomic.Uint64 // live probe counter across all loops
 	obsMu  sync.Mutex    // serializes Base.Observer across loops
 
+	// Launch guard: Start holds one clock actor from before the first
+	// worker launch until every initial worker's sender has registered on
+	// the clock, so on a virtual clock no worker runs ahead of one that the
+	// Go scheduler has not started yet — they all begin at the same
+	// virtual instant. launching counts the initial workers yet
+	// to report in; each launched loop reports exactly once and a failed
+	// launch never does, so the guard is released exactly once — by the
+	// last report, or by Start's error path.
+	launching atomic.Int32
+
 	mu         sync.Mutex
 	cancels    map[int]context.CancelFunc // shard -> active loop cancel
 	scanners   map[int]*core.ScannerOf[A] // shard -> active scanner
@@ -256,7 +266,11 @@ type Run[A comparable] struct {
 
 	// Watchdog (Options.WatchdogTimeout > 0): a clock actor that parks
 	// with a deadline, samples per-shard progress each tick, and fails
-	// shards whose counters froze. wdStop + Unpark stops it.
+	// shards whose counters froze. wdStop + Unpark stops it. wdSeen gets a
+	// shard's entry when its loop's sender registers on the clock (guarded
+	// by mu), so a loop that wedges before its first probe is still timed;
+	// not at launch, because on a virtual clock the watchdog can tick many
+	// times before a freshly launched goroutine is even scheduled.
 	wdParker *simclock.Parker
 	wdStop   atomic.Bool
 	wdSeen   map[int]wdProgress
@@ -322,32 +336,38 @@ func Start[A comparable](ctx context.Context, env Env[A], opt Options) (*Run[A],
 	if len(shards) > 1 {
 		r.pos = positionsOf(env.Fam, env.Base.Blocks, env.Base.Seed)
 	}
+	env.Clock.AddActor()
+	if opt.WatchdogTimeout > 0 {
+		// Under the guard, so its ticks count from the workers' common
+		// starting instant.
+		r.wdParker = env.Clock.NewParker()
+		r.wdSeen = make(map[int]wdProgress)
+		env.Clock.AddActor()
+		go r.watchdog()
+	}
+	r.launching.Store(int32(len(shards)))
 	for w := range shards {
 		var err error
 		if snap := opt.ResumeSnapshots[w]; len(snap) > 0 {
-			err = r.launch(ctx, w, w, snap, true)
+			err = r.launch(ctx, w, w, snap, true, r.workerStarted)
 			if errors.Is(err, core.ErrCheckpointComplete) {
 				// The persisted snapshot already covers the whole shard.
 				// Rather than decode its results out of band, re-run the
 				// shard fresh: on the deterministic simulator that
 				// reproduces the identical discoveries.
-				err = r.launch(ctx, w, w, nil, false)
+				err = r.launch(ctx, w, w, nil, false, r.workerStarted)
 			}
 		} else {
-			err = r.launch(ctx, w, w, nil, false)
+			err = r.launch(ctx, w, w, nil, false, r.workerStarted)
 		}
 		if err != nil {
 			// Abandon loops already launched; they drain into the
 			// buffered events channel and exit.
+			env.Clock.DoneActor()
+			r.stopWatchdog()
 			r.cancelAll()
 			return nil, err
 		}
-	}
-	if opt.WatchdogTimeout > 0 {
-		r.wdParker = env.Clock.NewParker()
-		r.wdSeen = make(map[int]wdProgress)
-		env.Clock.AddActor()
-		go r.watchdog()
 	}
 	go r.coordinate(ctx)
 	return r, nil
@@ -380,9 +400,34 @@ func shardHint(blocks, workers int) int {
 	return h
 }
 
+// workerStarted reports one initial worker's sender registered on the
+// clock; the last report releases the launch guard.
+func (r *Run[A]) workerStarted() {
+	if r.launching.Add(-1) == 0 {
+		r.env.Clock.DoneActor()
+	}
+}
+
+// startClock is the clock a worker's engine runs on: the cluster's
+// clock, reporting the engine's first actor registration. RunContext
+// registers its sender before anything that can block, so registered
+// fires while the loop provably holds an actor and has consumed no
+// clock time — whether or not the shard ever sends a probe.
+type startClock struct {
+	simclock.Waiter
+	registered func()
+}
+
+func (c startClock) AddActor() {
+	c.Waiter.AddActor()
+	c.registered()
+}
+
 // launch starts one worker loop for a shard: a fresh scan when snap is
-// nil, a migration resume otherwise.
-func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, resumed bool) error {
+// nil, a migration resume otherwise. When the loop's sender registers on
+// the clock the watchdog starts timing it and started, when non-nil, is
+// called — once.
+func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, resumed bool, started func()) error {
 	cfg := r.env.Base
 	// The single-worker run keeps Base.Skip untouched: the whole config
 	// is then field-for-field what core.NewScannerOf would have seen,
@@ -419,6 +464,17 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 		return nil
 	}
 
+	var sc *core.ScannerOf[A]
+	began := sync.OnceFunc(func() {
+		r.mu.Lock()
+		if r.wdSeen != nil && r.scanners[shard] == sc {
+			r.wdSeen[shard] = wdProgress{since: r.env.Clock.Now()}
+		}
+		r.mu.Unlock()
+		if started != nil {
+			started()
+		}
+	})
 	baseObs := r.env.Base.Observer
 	cfg.Observer = func(dst A, ttl uint8, at time.Duration) {
 		r.probes.Add(1)
@@ -437,11 +493,11 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 		cfg.NewReader = newReader
 	}
 
-	var sc *core.ScannerOf[A]
+	clock := startClock{r.env.Clock, began}
 	if snap == nil {
-		sc, err = core.NewScannerOf(r.env.Fam, cfg, conn, r.env.Clock)
+		sc, err = core.NewScannerOf(r.env.Fam, cfg, conn, clock)
 	} else {
-		sc, err = core.Resume(r.env.Fam, cfg, conn, r.env.Clock, snap)
+		sc, err = core.Resume(r.env.Fam, cfg, conn, clock, snap)
 	}
 	if err != nil {
 		conn.Close()
@@ -453,8 +509,8 @@ func (r *Run[A]) launch(ctx context.Context, shard, vantage int, snap []byte, re
 	r.cancels[shard] = cancel
 	r.scanners[shard] = sc
 	r.workerSets = append(r.workerSets, ws)
-	// A relaunched shard starts from fresh live counters; drop any stale
-	// watchdog sample so the new loop gets a full timeout of grace.
+	// A relaunched shard starts from fresh live counters: drop the old
+	// loop's watchdog sample (the new loop's registration starts its own).
 	delete(r.wdSeen, shard)
 	// A SetRate issued while this shard was between loops (mid-migration)
 	// never reached a scanner; apply the latest rate to the fresh one so
@@ -505,9 +561,11 @@ func (r *Run[A]) watchdog() {
 		var stalled []int
 		r.mu.Lock()
 		for shard, sc := range r.scanners {
-			p, q := sc.LiveCounters()
 			s, ok := r.wdSeen[shard]
-			if !ok || s.probes != p || s.replies != q {
+			if !ok {
+				continue // the loop's goroutine has not started yet
+			}
+			if p, q := sc.LiveCounters(); s.probes != p || s.replies != q {
 				r.wdSeen[shard] = wdProgress{probes: p, replies: q, since: now}
 				continue
 			}
@@ -644,7 +702,7 @@ func (r *Run[A]) tryMigrate(ctx context.Context, shard, from int, snap []byte) b
 			r.env.Clock.Sleep(backoff)
 			r.env.Clock.DoneActor()
 		}
-		err := r.launch(ctx, shard, adopt, snap, true)
+		err := r.launch(ctx, shard, adopt, snap, true, nil)
 		r.ctrl <- migOutcome{shard: shard, vantage: adopt, snap: snap, err: err}
 	}()
 	return true

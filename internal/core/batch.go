@@ -1,36 +1,30 @@
 package core
 
-import (
-	"io"
-	"time"
-)
+import "time"
 
-// This file implements the batched data path (Config.Batch > 1).
+// This file implements the send side of the data path; Config.Batch sizes
+// it, and a batch of one is the per-packet engine.
 //
-// Send side: a shard whose transport implements BatchWriter builds
-// probes into a preallocated per-shard arena instead of writing them one
-// at a time, and flushes the arena as one WriteBatch call when it fills
-// — or earlier, at every point the shard is about to block (the pacer
-// sleep, the round gap, phase end, cancellation). Flushing before every
-// blocking point is what keeps results identical to the unbatched
-// engine: between blocking points no response can influence the sender's
-// decisions (on the virtual clock no time passes at all), so the set of
-// packets on the wire at each blocking instant is the same either way.
+// A shard builds probes into a preallocated arena of Config.Batch slots
+// and flushes it when it fills — or earlier, at every point the shard is
+// about to block (the pacer sleep, the round gap, phase end,
+// cancellation). Flushing before every blocking point is what makes the
+// result independent of the batch size: between blocking points no
+// response can influence the sender's decisions (on the virtual clock no
+// time passes at all), so the set of packets on the wire at each blocking
+// instant is the same for every Batch.
 //
-// Receive side: a receiver whose transport implements BatchReader pulls
-// up to Config.Batch packets per call into a preallocated buffer arena
-// and processes them in arrival order — the same packet sequence the
-// one-at-a-time loop would have seen, just with fewer transport
-// crossings. Both sides reuse their arenas, so the steady state
-// allocates nothing.
+// The receive side (receive.go) mirrors it: a worker pulls up to
+// Config.Batch packets per transport call into its own buffer arena and
+// processes them in arrival order. Both sides reuse their arenas, so the
+// steady state allocates nothing.
 
 // maxBatch caps Config.Batch: beyond this the arenas' memory dominates
 // any further syscall amortization (it is also comfortably above
 // Linux's UIO_MAXIOV = 1024 sendmmsg ceiling).
 const maxBatch = 4096
 
-// recvBufSize is the per-packet stride of the receive arenas, matching
-// the 4096-byte read buffers of the unbatched paths.
+// recvBufSize is the per-packet stride of the receive arenas.
 const recvBufSize = 4096
 
 // makeRecvArena builds one receive arena: n packet buffers carved from a
@@ -44,14 +38,14 @@ func makeRecvArena(n int) ([][]byte, []int) {
 	return bufs, make([]int, n)
 }
 
-// sendProbeBatched is sendProbe's arena path (sh.bw != nil): build the
-// probe into the next arena slot, flush if the arena filled, and run the
-// same observer and pacing steps as the unbatched path. The pacer's
-// flush hook writes the arena out before any pacing sleep, so batch
-// boundaries never distort pacing and no probe waits out a sleep in the
-// arena.
-func (sh *senderShardOf[A]) sendProbeBatched(dst A, ttl uint8, preprobe bool, srcPortOffset uint16) {
+// sendProbe builds and stamps one probe into the next arena slot, flushes
+// if the arena filled, and runs the observer and pacing steps. The
+// pacer's flush hook writes the arena out before any pacing sleep, so
+// batch boundaries never distort pacing and no probe waits out a sleep in
+// the arena.
+func (sh *senderShardOf[A]) sendProbe(dst A, ttl uint8, preprobe bool, srcPortOffset uint16) {
 	s := sh.s
+	sh.pollRate()
 	elapsed := s.clock.Now().Sub(s.start)
 	slot := sh.arena[sh.nbuf*maxProbeBuf : (sh.nbuf+1)*maxProbeBuf]
 	n := s.fam.BuildProbe(slot, s.cfg.Source, dst, ttl, preprobe, elapsed, srcPortOffset)
@@ -62,25 +56,22 @@ func (sh *senderShardOf[A]) sendProbeBatched(dst A, ttl uint8, preprobe bool, sr
 		sh.flush()
 	}
 	if s.cfg.Observer != nil {
-		if len(s.shards) > 1 {
-			s.obsMu.Lock()
-			s.cfg.Observer(dst, ttl, elapsed)
-			s.obsMu.Unlock()
-		} else {
-			s.cfg.Observer(dst, ttl, elapsed)
-		}
+		s.obsMu.Lock()
+		s.cfg.Observer(dst, ttl, elapsed)
+		s.obsMu.Unlock()
 	}
-	sh.pacer.paceFlush(sh.flushFn)
+	sh.pacer.pace(sh.flushFn)
 }
 
-// flush writes every buffered probe out, honoring WriteBatch's
-// partial-write contract: a short return with an error singles out one
-// failed packet, which gets the unbatched path's transient-retry
-// treatment while the rest of the arena is re-submitted — a mid-batch
-// failure costs that one probe at most, never the packets behind it.
-// Accounting (probesSent, checkpoint triggers) happens here, so a probe
-// counts as sent only once it has actually been written. No-op when
-// nothing is buffered, so it is safe at every blocking point.
+// flush writes every buffered probe out under WriteBatch's partial-write
+// contract: a short return with an error singles out one failed packet,
+// which gets the transient-retry treatment (retrySlot) while the rest of
+// the arena is re-submitted — a mid-batch failure costs that one probe at
+// most, never the packets behind it. Accounting (probesSent, checkpoint
+// triggers) happens here, so a probe counts as sent only once it has
+// actually been written; a probe that cannot be written is dropped and
+// counted — one lost datapoint, not a failed scan. No-op when nothing is
+// buffered, so it is safe at every blocking point.
 func (sh *senderShardOf[A]) flush() {
 	if sh.nbuf == 0 {
 		return
@@ -89,7 +80,7 @@ func (sh *senderShardOf[A]) flush() {
 	sent := uint64(0)
 	i := 0
 	for i < sh.nbuf {
-		w, err := sh.bw.WriteBatch(sh.pkts[i:sh.nbuf])
+		w, err := sh.write(sh.pkts[i:sh.nbuf])
 		if w < 0 {
 			w = 0
 		}
@@ -126,10 +117,26 @@ func (sh *senderShardOf[A]) flush() {
 	}
 }
 
-// retrySlot gives one failed arena slot the unbatched path's treatment:
-// capped exponential backoff and a single-packet rewrite per attempt, up
-// to Config.SendRetries for transient errors. Reports whether the probe
-// was eventually written; a dropped probe is counted as a send error.
+// write submits pkts in order and reports how many were consumed, with
+// BatchWriter's error contract: one WriteBatch call when the transport has
+// the capability and there is more than one packet to amortize it over,
+// else one WritePacket per packet.
+func (sh *senderShardOf[A]) write(pkts [][]byte) (int, error) {
+	if sh.bw != nil && len(pkts) > 1 {
+		return sh.bw.WriteBatch(pkts)
+	}
+	for i, pkt := range pkts {
+		if err := sh.s.conn.WritePacket(pkt); err != nil {
+			return i, err
+		}
+	}
+	return len(pkts), nil
+}
+
+// retrySlot retries one failed arena slot: capped exponential backoff and
+// a single-packet rewrite per attempt, up to Config.SendRetries for
+// transient errors. Reports whether the probe was eventually written; a
+// dropped probe is counted as a send error.
 func (sh *senderShardOf[A]) retrySlot(i int, err error) bool {
 	s := sh.s
 	for retry := 0; retry < s.cfg.SendRetries && isTemporary(err); retry++ {
@@ -165,27 +172,5 @@ func (sh *senderShardOf[A]) restampSlot(i int) []byte {
 func (sh *senderShardOf[A]) restampSlots(from int) {
 	for i := from; i < sh.nbuf; i++ {
 		sh.restampSlot(i)
-	}
-}
-
-// receiveLoopBatch is the single-receiver loop over a BatchReader:
-// responses arrive into a reused buffer arena up to Config.Batch at a
-// time and are processed in arrival order, preserving the unbatched
-// loop's processReply sequence exactly.
-func (s *ScannerOf[A]) receiveLoopBatch(br BatchReader) {
-	bufs, sizes := makeRecvArena(s.cfg.Batch)
-	for {
-		k, err := br.ReadBatch(bufs, sizes)
-		for i := 0; i < k; i++ {
-			s.handleResponse(bufs[i][:sizes[i]])
-		}
-		if err != nil {
-			if err != io.EOF {
-				s.readErrors.Add(1)
-			}
-			return
-		}
-		// k == 0 with a nil err: a polling transport had nothing ready;
-		// loop and block again.
 	}
 }

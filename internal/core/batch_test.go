@@ -264,7 +264,7 @@ func newFlushHarness(t *testing.T, bw *scriptedBW, n int) (*Scanner, *senderShar
 		t.Fatal("harness shard did not detect the BatchWriter")
 	}
 	for i := 0; i < n; i++ {
-		sh.sendProbeBatched(cfg.Targets(i), 10, false, 0)
+		sh.sendProbe(cfg.Targets(i), 10, false, 0)
 	}
 	return s, sh
 }
@@ -315,9 +315,9 @@ func TestFlushPartialBatchPermanentError(t *testing.T) {
 	}
 }
 
-// TestBatchValidation: Batch is clamped to [0, maxBatch], and a Batch on
-// a transport without batch capabilities silently falls back to the
-// unbatched data path.
+// TestBatchValidation: Batch is clamped to [1, maxBatch], and a Batch on
+// a transport without batch capabilities is written and read one packet
+// per call.
 func TestBatchValidation(t *testing.T) {
 	e := newEnv(t, 64, 1)
 	e.cfg.Batch = -5
@@ -325,8 +325,8 @@ func TestBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.cfg.Batch != 0 {
-		t.Errorf("negative Batch not clamped to 0: %d", sc.cfg.Batch)
+	if sc.cfg.Batch != 1 {
+		t.Errorf("negative Batch not clamped to 1: %d", sc.cfg.Batch)
 	}
 	e2 := newEnv(t, 64, 1)
 	e2.cfg.Batch = maxBatch * 2
@@ -338,8 +338,9 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("oversized Batch not clamped to %d: %d", maxBatch, sc2.cfg.Batch)
 	}
 
-	// A plain PacketConn without WriteBatch: shards stay unbatched and the
-	// scan still completes (fingerprint pinned by the golden suite).
+	// A plain PacketConn without WriteBatch: the arena is flushed through
+	// WritePacket and the scan still completes (fingerprint equality with
+	// the batch-capable conn is TestPlainConnEqualsBatchConn's).
 	e3 := newEnv(t, 64, 1)
 	e3.cfg.Batch = 32
 	conn := struct{ PacketConn }{e3.net.NewConn()}
@@ -353,5 +354,44 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if res.ProbesSent == 0 || res.Store.Interfaces().Len() == 0 {
 		t.Fatal("fallback scan discovered nothing")
+	}
+}
+
+// TestPlainConnEqualsBatchConn: the capabilities a transport shows decide
+// how the arenas are written and read, never what the scan finds. A
+// Batch: 32 scan with one receive worker reading the conn itself
+// (NewReader nil) over a conn that shows only the PacketConn methods —
+// no WriteBatch, ReadBatch or NewReader — must equal the same scan over
+// the bare netsim conn, which has all three.
+func TestPlainConnEqualsBatchConn(t *testing.T) {
+	run := func(seed int64, plain bool) *Result {
+		e := newEnv(t, 1024, seed)
+		e.cfg.Receivers, e.cfg.NewReader, e.cfg.Batch = 1, nil, 32
+		var conn PacketConn = e.net.NewConn()
+		if plain {
+			conn = struct{ PacketConn }{conn}
+		}
+		sc, err := NewScanner(e.cfg, conn, e.clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh := sc.recvWorkers[0]; (sh.batch == nil) != plain {
+			t.Fatalf("plain=%v: batch-read capability detection wrong", plain)
+		}
+		res, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, seed := range []int64{1, 7, 21} {
+		bare, plain := run(seed, false), run(seed, true)
+		if a, b := fpOf(bare), fpOf(plain); a != b {
+			t.Errorf("seed %d: fingerprint %#x over the bare conn, %#x over the plain one", seed, a, b)
+		}
+		if bare.ProbesSent != plain.ProbesSent || bare.ScanTime != plain.ScanTime || bare.Rounds != plain.Rounds {
+			t.Errorf("seed %d: bare %d probes/%v/%d rounds, plain %d probes/%v/%d rounds", seed,
+				bare.ProbesSent, bare.ScanTime, bare.Rounds, plain.ProbesSent, plain.ScanTime, plain.Rounds)
+		}
 	}
 }

@@ -96,34 +96,33 @@ func (s *ScannerOf[A]) maybeCheckpoint(k uint64) {
 	ck := s.ckpt
 	n := ck.probes.Add(k)
 	if ck.every > 0 && n/ck.every != (n-k)/ck.every {
-		s.writeCheckpoint(false, false, nil)
+		s.writeCheckpoint(false, false)
 		return
 	}
 	if ck.interval > 0 {
 		now := int64(s.clock.Now().Sub(s.start))
 		next := ck.nextAt.Load()
 		if now >= next && ck.nextAt.CompareAndSwap(next, now+int64(ck.interval)) {
-			s.writeCheckpoint(false, false, nil)
+			s.writeCheckpoint(false, false)
 		}
 	}
 }
 
 // writeCheckpoint serializes the scan state and hands it to the sink.
 // Mid-scan (final == false) it takes the write barrier to quiesce reply
-// processing; final snapshots run after every goroutine has joined and
-// encode the merged result store passed in.
-func (s *ScannerOf[A]) writeCheckpoint(final, complete bool, merged *trace.StoreOf[A]) {
+// processing; final snapshots run after every goroutine has joined.
+func (s *ScannerOf[A]) writeCheckpoint(final, complete bool) {
 	ck := s.ckpt
 	if !final {
 		ck.mu.Lock()
 		defer ck.mu.Unlock()
 	}
-	if err := ck.sink(s.encodeCheckpoint(final, complete, merged)); err != nil {
+	if err := ck.sink(s.encodeCheckpoint(final, complete)); err != nil {
 		ck.errs.Add(1)
 	}
 }
 
-func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.StoreOf[A]) []byte {
+func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool) []byte {
 	ck := s.ckpt
 	asz := s.fam.AddrSize()
 	var ab [16]byte
@@ -188,9 +187,9 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.Stor
 	// rewind re-probes anything unconfirmed).
 	w.U32(uint32(len(s.order)))
 	for _, b := range s.order {
-		s.locks.lock(b)
+		s.locks[b].Lock()
 		d := s.dcbs[b]
-		s.locks.unlock(b)
+		s.locks[b].Unlock()
 		w.U32(b)
 		putAddr(w, d.dest)
 		w.U32(d.respSeen)
@@ -217,16 +216,9 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.Stor
 	// in-memory collection of the whole topology. The worker stripes are
 	// destination-disjoint, so streaming them through a union view yields
 	// the same global sort order the old collect-and-sort produced.
-	var stores []*trace.StoreOf[A]
-	switch {
-	case merged != nil:
-		stores = []*trace.StoreOf[A]{merged}
-	case s.striped != nil:
-		for _, rw := range s.recvWorkers {
-			stores = append(stores, rw.store)
-		}
-	default:
-		stores = []*trace.StoreOf[A]{s.store}
+	stores := make([]*trace.StoreOf[A], len(s.recvWorkers))
+	for i, rw := range s.recvWorkers {
+		stores[i] = rw.store
 	}
 	nRoutes := 0
 	for _, st := range stores {
@@ -244,11 +236,7 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.Stor
 			w.I64(int64(h.RTT))
 		}
 	}
-	if len(stores) == 1 {
-		stores[0].ForEachRouteSorted(emit)
-	} else {
-		trace.UnionOf(stores).ForEachRouteSorted(emit)
-	}
+	trace.UnionOf(stores).ForEachRouteSorted(emit)
 	ifaces := make(map[A]struct{})
 	for _, st := range stores {
 		st.Interfaces().ForEach(func(a A) { ifaces[a] = struct{}{} })
@@ -269,7 +257,7 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool, merged *trace.Stor
 // Resume reconstructs a scanner mid-scan from a checkpoint snapshot. The
 // configuration must describe the same scan (same universe seed, block
 // count and probing geometry); cfg fields that only shape the machinery —
-// Senders, Receivers, PPS, LockMode, checkpointing itself — are free to
+// Senders, Receivers, Batch, PPS, checkpointing itself — are free to
 // differ. Run on the returned scanner continues the interrupted scan.
 func Resume[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn, clock simclock.Waiter, data []byte) (*ScannerOf[A], error) {
 	s, err := NewScannerOf(fam, cfg, conn, clock)
@@ -444,39 +432,23 @@ func (s *ScannerOf[A]) restore(data []byte) error {
 	for _, a := range stops {
 		s.stopSet.Add(a)
 	}
-	restore := func(rt *trace.RouteOf[A]) {
+	nw := len(s.recvWorkers)
+	for _, rt := range routes {
 		// Block-affinity dispatch owns each destination's route on the
 		// worker (and stripe) block % R, at stripe slot block / R;
 		// restoring elsewhere would leave two stores claiming the same
 		// destination in the Union view.
-		b, ok := s.cfg.BlockOf(rt.Dst)
-		if !ok {
+		if b, ok := s.cfg.BlockOf(rt.Dst); ok {
+			s.recvWorkers[b%nw].store.RestoreRouteAt(b/nw, rt)
+		} else {
 			// No block for the destination (cannot happen for routes the
 			// scan itself recorded): fall back to the dst-keyed overflow
 			// index of worker 0's stripe.
-			if s.striped != nil {
-				s.recvWorkers[0].store.RestoreRoute(rt)
-			} else {
-				s.store.RestoreRoute(rt)
-			}
-			return
+			s.recvWorkers[0].store.RestoreRoute(rt)
 		}
-		if s.striped != nil {
-			r := len(s.recvWorkers)
-			s.recvWorkers[b%r].store.RestoreRouteAt(b/r, rt)
-		} else {
-			s.store.RestoreRouteAt(b, rt)
-		}
-	}
-	for _, rt := range routes {
-		restore(rt)
-	}
-	ifaceStore := s.store
-	if s.striped != nil {
-		ifaceStore = s.recvWorkers[0].store // Merge unions interface sets
 	}
 	for _, a := range ifaces {
-		ifaceStore.AddInterface(a)
+		s.recvWorkers[0].store.AddInterface(a) // Union merges the interface sets
 	}
 	return nil
 }

@@ -41,9 +41,10 @@ type PacketConn interface {
 	Close() error
 }
 
-// PacketReader is a per-receiver read handle for the sharded receive
-// pipeline (Config.Receivers > 1): each receive worker owns one, so R
-// workers can block on the transport concurrently. ReadPacket has one
+// PacketReader is a per-worker read handle for the receive pipeline:
+// each receive worker owns one, so R workers can block on the transport
+// concurrently (a lone worker without Config.NewReader reads the
+// PacketConn itself). ReadPacket has one
 // extension over PacketConn's: it may return (0, nil) when the wait was
 // interrupted by Wake before a packet arrived, letting the worker service
 // replies dispatched to it by its siblings. Wake must be safe to call
@@ -63,8 +64,8 @@ type PacketReader interface {
 // attempted; the caller handles pkts[n] (retry or drop) and resubmits the
 // rest. n == len(pkts) with a non-nil error is a connection-level failure
 // after every packet was consumed. The engine detects the capability by
-// interface assertion when Config.Batch > 1, so plain PacketConns keep
-// working unchanged.
+// interface assertion and uses it whenever a flush holds more than one
+// packet; plain PacketConns get one WritePacket per packet.
 type BatchWriter interface {
 	WriteBatch(pkts [][]byte) (int, error)
 }
@@ -143,44 +144,47 @@ type ConfigOf[A comparable] struct {
 	// is an aggregate across all senders.
 	PPS int
 
+	// Senders, Receivers and Batch size the one data path; none of them
+	// selects a different implementation.
+	//
 	// Senders is the number of sending goroutines. The permuted
 	// destination sequence is sharded into Senders contiguous slices, each
-	// owned by one sender with its own packet buffer and pacer; the
-	// receiver keeps racing against all of them through the per-DCB locks
-	// (§3.4). <= 0 and 1 both mean a single sender — the paper-faithful
-	// configuration every reproduction experiment pins, because probe
-	// interleaving (and with it rate-limit and route-dynamics timing) is
-	// only deterministic with one sender on the virtual clock.
+	// owned by one sender with its own packet arena and pacer; the
+	// receivers keep racing against all of them through the per-DCB locks
+	// (§3.4). <= 0 means 1 — the paper's configuration, which every
+	// reproduction experiment pins because probe interleaving (and with
+	// it rate-limit and route-dynamics timing) is only deterministic with
+	// one sender on the virtual clock.
 	Senders int
 
-	// Receivers is the number of reply-processing workers. The paper's
-	// engine has exactly one receiving thread (§3.2); with Receivers > 1
-	// the receive path is sharded: every worker pulls raw packets from its
-	// own PacketReader and parses them in parallel, then dispatches each
-	// decoded reply to the worker owning block % Receivers, so each DCB,
-	// stop-set shard and trace-store stripe keeps a single writer. <= 0
-	// and 1 both mean the classic inline receiver, bit-identical to the
-	// paper configuration.
+	// Receivers is the number of workers in the receive pipeline. Every
+	// worker pulls raw packets from its own read handle and parses them,
+	// then dispatches each decoded reply to the worker owning
+	// block % Receivers, so each DCB, stop-set shard and trace-store
+	// stripe keeps a single writer. <= 0 means 1 — the paper's single
+	// receiving thread (§3.2): it owns every block, so it never
+	// dispatches.
 	Receivers int
 
-	// NewReader supplies the per-worker read handles of the sharded
-	// receive pipeline; required when Receivers > 1 (each call must return
-	// a handle safe to use concurrently with its siblings), ignored
-	// otherwise.
+	// NewReader supplies the per-worker read handles of the receive
+	// pipeline; required when Receivers > 1 (each call must return a
+	// handle safe to use concurrently with its siblings). When nil, the
+	// lone worker reads through the PacketConn's own ReadPacket (and
+	// ReadBatch).
 	NewReader func() PacketReader
 
-	// Batch is the maximum number of packets moved per transport call on
-	// both data paths: senders accumulate built probes in a per-shard
-	// arena and flush them through BatchWriter.WriteBatch; receivers pull
-	// responses through BatchReader.ReadBatch into per-worker buffer
-	// arenas. <= 1 disables batching (the classic per-packet path). Each
+	// Batch is the size of the per-shard send arena and the per-worker
+	// receive arena, i.e. the most packets moved per transport call:
+	// senders accumulate built probes and flush them through
+	// BatchWriter.WriteBatch; receivers pull responses through
+	// BatchReader.ReadBatch. <= 0 means 1, one packet per call. Each
 	// capability is detected independently by interface assertion, so a
 	// transport may batch one direction only; a transport with neither
-	// runs exactly as before. Arenas are preallocated, keeping the
-	// steady state allocation-free. Batching never distorts pacing or
-	// results: shards flush before every pacer sleep, round gap and phase
-	// end, so the set of written probes at every blocking point is
-	// identical to the unbatched engine's.
+	// is written and read one packet at a time whatever the arena size.
+	// Arenas are preallocated, keeping the steady state allocation-free.
+	// The arena size never distorts pacing or results: shards flush
+	// before every pacer sleep, round gap and phase end, so the set of
+	// written probes at every blocking point is the same for every Batch.
 	Batch int
 
 	// Preprobe selects the preprobing mode; PreprobeTargets supplies
@@ -285,11 +289,6 @@ type ConfigOf[A comparable] struct {
 	// negligible value because at measurement scale rounds are far longer
 	// than a second anyway.
 	MinRoundTime time.Duration
-
-	// LockMode selects per-DCB mutual exclusion: LockMutex (the paper's
-	// portable choice, default) or LockSpin (the §3.4-suggested atomic
-	// test-and-set spinlock, halving the per-destination lock footprint).
-	LockMode LockMode
 
 	// CheckpointSink, when non-nil, arms crash-safe checkpointing: the
 	// engine periodically serializes its complete probing state (see

@@ -8,11 +8,10 @@ package core
 // round and advances them as it issues probes; the receiving thread
 // updates forwardHorizon on responses and zeroes nextBackward when the
 // backward scan completes (TTL-1 hop or convergence with the stop set).
-// Each DCB is guarded by its own lock (a parallel array managed by
-// dcbLocks — per-DCB mutexes as in the paper, or the §3.4-suggested
-// test-and-set spinlocks), exactly as the paper argues: contention only
-// occurs when a response for a destination arrives while the sender
-// happens to be handling the same destination.
+// Each DCB is guarded by its own mutex (the parallel array
+// ScannerOf.locks), exactly as the paper argues: contention only occurs
+// when a response for a destination arrives while the sender happens to
+// be handling the same destination.
 type dcbOf[A comparable] struct {
 	dest A
 
@@ -54,7 +53,7 @@ type dcb = dcbOf[uint32]
 // dcb flag bits.
 const (
 	dcbForwardDone = 1 << iota // destination answered (unreachable received)
-	dcbRemoved                 // unlinked from the probing list
+	dcbRemoved                 // finished probing; set under the DCB lock, then unlinked
 	dcbSplitHigh               // low bits of the split TTL continue in splitLow
 	dcbPreSeen                 // a TTL-exceeded preprobe response was processed
 	// dcbBwStopped marks backward probing terminated by the Doubletree
@@ -106,10 +105,11 @@ func buildList[A comparable](dcbs []dcbOf[A], order []uint32) *listOf[A] {
 	return l
 }
 
-// remove unlinks idx from the list. Caller guarantees idx is linked.
+// remove unlinks idx from the list. Caller guarantees idx is linked and
+// has marked it dcbRemoved under the DCB lock: flags is shared with the
+// receiver, the links are not.
 func (l *listOf[A]) remove(idx uint32) {
 	d := &l.dcbs[idx]
-	d.flags |= dcbRemoved
 	l.size--
 	if l.size == 0 {
 		l.head = noHead

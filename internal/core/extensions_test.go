@@ -5,28 +5,6 @@ import (
 	"unsafe"
 )
 
-// TestLockModesEquivalent: both per-DCB locking strategies (§3.4) must
-// produce equivalent scans.
-func TestLockModesEquivalent(t *testing.T) {
-	const blocks = 1024
-	run := func(mode LockMode) *Result {
-		e := newEnv(t, blocks, 31)
-		e.cfg.LockMode = mode
-		return e.run(t)
-	}
-	m := run(LockMutex)
-	sp := run(LockSpin)
-	// Scans are concurrency-timing-dependent, so allow small drift but
-	// demand near-identical outcomes.
-	if diffPct(m.ProbesSent, sp.ProbesSent) > 2 {
-		t.Fatalf("lock modes diverge in probes: mutex=%d spin=%d", m.ProbesSent, sp.ProbesSent)
-	}
-	im, is := m.Store.Interfaces().Len(), sp.Store.Interfaces().Len()
-	if diffPct(uint64(im), uint64(is)) > 2 {
-		t.Fatalf("lock modes diverge in interfaces: mutex=%d spin=%d", im, is)
-	}
-}
-
 func diffPct(a, b uint64) float64 {
 	hi, lo := a, b
 	if lo > hi {
@@ -36,14 +14,6 @@ func diffPct(a, b uint64) float64 {
 		return 100
 	}
 	return 100 * float64(hi-lo) / float64(lo)
-}
-
-func TestBadLockModeRejected(t *testing.T) {
-	e := newEnv(t, 16, 1)
-	e.cfg.LockMode = LockMode(99)
-	if _, err := NewScanner(e.cfg, e.net.NewConn(), e.clock); err == nil {
-		t.Fatal("bad lock mode accepted")
-	}
 }
 
 // TestFootprintAccounting verifies the §3.4/§5.4 memory math: the control
@@ -56,17 +26,13 @@ func TestFootprintAccounting(t *testing.T) {
 		t.Fatalf("dcb grew to %d bytes; keep it compact", unsafe.Sizeof(d))
 	}
 
-	full24 := EstimateFootprint(1<<24, LockMutex)
+	full24 := EstimateFootprint(1 << 24)
 	control := full24.Total() - full24.ResultBytes
 	if control < 300<<20 || control > 1<<30 {
 		t.Fatalf("full /24 control state %d bytes outside [300MB, 1GB]", control)
 	}
-	spin24 := EstimateFootprint(1<<24, LockSpin)
-	if spin24.Total() >= full24.Total() {
-		t.Fatal("spinlocks should shrink the footprint (§3.4)")
-	}
-	if full24.LockBytes != 8<<24 || spin24.LockBytes != 4<<24 {
-		t.Fatalf("lock accounting wrong: %d / %d", full24.LockBytes, spin24.LockBytes)
+	if full24.LockBytes != 8<<24 {
+		t.Fatalf("lock accounting wrong: %d", full24.LockBytes)
 	}
 
 	// The result-store estimate — the side the paper leaves implicit —
@@ -81,7 +47,7 @@ func TestFootprintAccounting(t *testing.T) {
 		t.Fatalf("full /24 total %d exceeds 10 GB — estimate model inflated", full24.Total())
 	}
 
-	full28 := EstimateFootprint(1<<28, LockMutex)
+	full28 := EstimateFootprint(1 << 28)
 	if c28 := full28.Total() - full28.ResultBytes; c28 > 15<<30 {
 		t.Fatalf("/28 control state %d bytes exceeds the paper's ~15 GB bound", c28)
 	}
@@ -98,7 +64,7 @@ func TestScannerFootprintMatchesEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := sc.Footprint(), EstimateFootprint(4096, LockMutex)
+	got, want := sc.Footprint(), EstimateFootprint(4096)
 	if got.Blocks != want.Blocks || got.DCBBytes != want.DCBBytes ||
 		got.LockBytes != want.LockBytes || got.SideBytes != want.SideBytes {
 		t.Fatalf("control footprint %+v want %+v", got, want)
@@ -138,22 +104,4 @@ func TestAdaptiveExtraScansSaveProbes(t *testing.T) {
 	t.Logf("uniform: %d probes/%d ifaces; adaptive: %d probes/%d ifaces (%.1f%% probes saved)",
 		uniform.ProbesSent, iu, adaptive.ProbesSent, ia,
 		100*(1-float64(adaptive.ProbesSent)/float64(uniform.ProbesSent)))
-}
-
-func BenchmarkAblationLockModes(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		m    LockMode
-	}{{"mutex", LockMutex}, {"spin", LockSpin}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := newEnv(b, 2048, int64(i))
-				e.cfg.LockMode = mode.m
-				e.cfg.PPS = 1 << 30
-				e.cfg.MinRoundTime = 1
-				res := e.run(b)
-				b.ReportMetric(float64(res.ProbesSent), "probes")
-			}
-		})
-	}
 }

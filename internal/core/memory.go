@@ -1,6 +1,12 @@
 package core
 
-import "unsafe"
+import (
+	"sync"
+	"unsafe"
+)
+
+// lockBytes is the per-DCB lock cost: one sync.Mutex.
+const lockBytes = uint64(unsafe.Sizeof(sync.Mutex{}))
 
 // Footprint describes the memory cost of a scan configuration — the
 // accounting behind the paper's §3.4 claim that the full-/24 control
@@ -13,8 +19,7 @@ type Footprint struct {
 	// DCBBytes is the destination control block array (Listing 1 fields
 	// plus the linked-list overlay).
 	DCBBytes uint64
-	// LockBytes is the per-DCB lock array (8 B mutexes, or 4 B spinlocks
-	// with LockSpin — the §3.4 footprint reduction).
+	// LockBytes is the per-DCB mutex array (§3.4).
 	LockBytes uint64
 	// SideBytes covers the split-TTL, measured/predicted-distance and
 	// permutation-order arrays.
@@ -46,15 +51,11 @@ const (
 )
 
 // EstimateFootprint computes the IPv4 footprint for a universe of the
-// given size under the given lock mode, without allocating it. Routes
-// are assumed collected (collectRoutes true); subtract the hop-slab term
-// for interface-counting-only scans.
-func EstimateFootprint(blocks int, mode LockMode) Footprint {
+// given size without allocating it. Routes are assumed collected
+// (collectRoutes true); subtract the hop-slab term for
+// interface-counting-only scans.
+func EstimateFootprint(blocks int) Footprint {
 	var d dcb
-	lockBytes := uint64(8)
-	if mode == LockSpin {
-		lockBytes = 4
-	}
 	b := uint64(blocks)
 	ifaceSlots := uint64(tableSizeForEstimate(blocks / 2))
 	return Footprint{
@@ -83,18 +84,9 @@ func tableSizeForEstimate(n int) int {
 // interface table) at the time of the call.
 func (s *ScannerOf[A]) Footprint() Footprint {
 	var d dcbOf[A]
-	lockBytes := uint64(8)
-	if s.cfg.LockMode == LockSpin {
-		lockBytes = 4
-	}
 	var result uint64
-	switch {
-	case s.striped != nil:
-		for _, rw := range s.recvWorkers {
-			result += rw.store.MemoryBytes()
-		}
-	case s.store != nil:
-		result = s.store.MemoryBytes()
+	for _, rw := range s.recvWorkers {
+		result += rw.store.MemoryBytes()
 	}
 	return Footprint{
 		Blocks:      s.cfg.Blocks,

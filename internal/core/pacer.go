@@ -52,16 +52,12 @@ func (p *pacer) setRate(pps int) {
 func (p *pacer) reset() { p.next = time.Time{} }
 
 // pace accounts one sent probe and, when the batch is full, sleeps until
-// the batch's absolute deadline.
-func (p *pacer) pace() { p.paceFlush(nil) }
-
-// paceFlush is pace with a pre-sleep hook: flush (if non-nil) runs after
-// the sleep decision but before the sleep itself, so a batching sender
-// can write out its arena before blocking. The deadline is computed
-// before flush runs and the sleep targets that absolute instant, so time
-// spent flushing is absorbed by the sleep — batch boundaries do not
-// distort pacing.
-func (p *pacer) paceFlush(flush func()) {
+// the batch's absolute deadline. flush (if non-nil) runs after the sleep
+// decision but before the sleep itself, so the sender can write out its
+// arena before blocking. The deadline is computed before flush runs and
+// the sleep targets that absolute instant, so time spent flushing is
+// absorbed by the sleep — arena boundaries do not distort pacing.
+func (p *pacer) pace(flush func()) {
 	if p.batch == 0 {
 		return
 	}

@@ -13,7 +13,7 @@ import (
 func pacedRate(v *simclock.Virtual, p *pacer, n int) float64 {
 	start := v.Now()
 	for i := 0; i < n; i++ {
-		p.pace()
+		p.pace(nil)
 	}
 	elapsed := v.Now().Sub(start)
 	if elapsed <= 0 {
@@ -57,7 +57,7 @@ func TestPacerAbsorbsOversleep(t *testing.T) {
 	start := v.Now()
 	const probes = 10 * pps
 	for i := 0; i < probes; i++ {
-		p.pace()
+		p.pace(nil)
 	}
 	rate := float64(probes) / v.Now().Sub(start).Seconds()
 	if err := math.Abs(rate-pps) / pps; err > 0.01 {
@@ -76,13 +76,13 @@ func TestPacerResetDropsIdleBudget(t *testing.T) {
 	p := newPacer(v, pps)
 	// Anchor the pacer with one full batch, then sit out a round gap.
 	for i := 0; i < p.batch; i++ {
-		p.pace()
+		p.pace(nil)
 	}
 	v.Sleep(time.Second)
 	p.reset()
 	start := v.Now()
 	for i := 0; i < pps; i++ {
-		p.pace()
+		p.pace(nil)
 	}
 	if elapsed := v.Now().Sub(start); elapsed < 990*time.Millisecond {
 		t.Fatalf("1s of probes paced in %v after idle+reset: idle time was repaid as a burst", elapsed)
@@ -97,7 +97,7 @@ func TestPacerUnthrottled(t *testing.T) {
 	p := newPacer(v, 0)
 	start := v.Now()
 	for i := 0; i < 100_000; i++ {
-		p.pace()
+		p.pace(nil)
 	}
 	if elapsed := v.Now().Sub(start); elapsed != 0 {
 		t.Fatalf("unthrottled pacer advanced the clock by %v", elapsed)

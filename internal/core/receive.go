@@ -9,9 +9,10 @@ import (
 	"github.com/flashroute/flashroute/internal/trace"
 )
 
-// This file implements the sharded receive pipeline (Config.Receivers > 1).
+// This file implements the receive pipeline; Config.Receivers sizes it.
 //
-// R workers each own a PacketReader handle onto the connection. A worker
+// R workers each own a PacketReader handle onto the connection (a lone
+// worker without Config.NewReader reads the connection itself). A worker
 // pulls raw packets, runs Family.ParseReply in parallel with its siblings,
 // and then applies block-affinity dispatch: a decoded reply for block b is
 // processed by worker b % R. Replies a worker parsed for a block it does
@@ -28,9 +29,9 @@ import (
 // guaranteed to see the final contents of the ring.
 
 // stopSetOf is the engine's Doubletree stop set (§3.2), sharded by
-// address hash so R receive workers can insert concurrently. With a
-// single shard (Receivers <= 1) all locking is elided and the map is
-// touched exactly as the classic single-receiver engine did.
+// address hash so R receive workers can insert concurrently. A single
+// shard has a single user (the lone receive worker), so its locking is
+// elided.
 type stopSetOf[A comparable] struct {
 	fam    Family[A]
 	shards []stopShard[A]
@@ -164,10 +165,16 @@ func (q *replyRing[A]) drainInto(dst []dispatchedReply[A]) []dispatchedReply[A] 
 	return dst
 }
 
-// recvWorkerOf is one worker of the sharded receive pipeline.
+// connReader is the lone worker's read handle when Config.NewReader is
+// nil: the connection's own ReadPacket. Wake has nobody to interrupt — a
+// lone worker never has a peer dispatching to it.
+type connReader struct{ PacketConn }
+
+func (connReader) Wake() {}
+
+// recvWorkerOf is one worker of the receive pipeline.
 type recvWorkerOf[A comparable] struct {
 	s      *ScannerOf[A]
-	idx    int
 	reader PacketReader
 	// parker is the worker's own blocking site for the post-EOF join;
 	// while reading, the worker blocks inside the reader instead.
@@ -177,14 +184,39 @@ type recvWorkerOf[A comparable] struct {
 
 	ring    replyRing[A]
 	scratch []dispatchedReply[A]
-	buf     [4096]byte
 
-	// Batched reads (Config.Batch > 1 on a BatchReader handle): ReadBatch
-	// fills the worker's preallocated buffer arena bufs and the per-packet
-	// lengths in sizes. All nil when unbatched.
+	// The receive arena: preallocated packet buffers bufs and the
+	// per-packet lengths in sizes. With Config.Batch > 1 on a handle that
+	// has the BatchReader capability, batch is that capability and the
+	// arena holds Config.Batch buffers filled per ReadBatch call; otherwise
+	// batch is nil and ReadPacket fills the arena's single buffer.
 	batch BatchReader
 	bufs  [][]byte
 	sizes []int
+}
+
+// newRecvWorker builds worker i of s's pipeline with its read handle,
+// store stripe and receive arena.
+func newRecvWorker[A comparable](s *ScannerOf[A], i int) *recvWorkerOf[A] {
+	w := &recvWorkerOf[A]{
+		s:       s,
+		parker:  s.clock.NewParker(),
+		store:   s.striped.Stripe(i),
+		scratch: make([]dispatchedReply[A], 0, 64),
+	}
+	// The capability is looked up on what the worker actually reads from.
+	var handle any = s.conn
+	w.reader = connReader{s.conn}
+	if s.cfg.NewReader != nil {
+		w.reader = s.cfg.NewReader()
+		handle = w.reader
+	}
+	n := 1
+	if br, ok := handle.(BatchReader); ok && s.cfg.Batch > 1 {
+		w.batch, n = br, s.cfg.Batch
+	}
+	w.bufs, w.sizes = makeRecvArena(n)
+	return w
 }
 
 // wake releases the owner wherever it is blocked: inside its reader
@@ -204,13 +236,16 @@ func (w *recvWorkerOf[A]) drain() {
 	}
 }
 
-// loop is the worker body: drain dispatched replies, read one packet,
-// parse and dispatch it; on EOF, join the termination protocol described
-// at the top of the file.
+// loop is the worker body: drain dispatched replies, read up to an
+// arena of packets, parse and dispatch them; on EOF, join the termination
+// protocol described at the top of the file.
 func (w *recvWorkerOf[A]) loop() {
 	s := w.s
 	for {
 		w.drain()
+		// Nothing read with a nil err is a wake interrupt (or a polling
+		// transport with nothing ready); the top-of-loop drain picks up
+		// whatever the wake dispatched.
 		var err error
 		if w.batch != nil {
 			var k int
@@ -218,14 +253,10 @@ func (w *recvWorkerOf[A]) loop() {
 			for i := 0; i < k; i++ {
 				w.handlePacket(w.bufs[i][:w.sizes[i]])
 			}
-			// k == 0 with a nil err is a wake interrupt (or a polling
-			// transport with nothing ready); the top-of-loop drain picks
-			// up whatever the wake dispatched.
 		} else {
 			var n int
-			n, err = w.reader.ReadPacket(w.buf[:])
-			if n > 0 {
-				w.handlePacket(w.buf[:n])
+			if n, err = w.reader.ReadPacket(w.bufs[0]); n > 0 {
+				w.handlePacket(w.bufs[0][:n])
 			}
 		}
 		if err != nil {

@@ -32,9 +32,9 @@ func buildTTLExceeded(src, dst, hop uint32, initTTL uint8) []byte {
 }
 
 // benchResponseSet builds a cycle of distinct valid responses — every
-// block of the env answered at TTLs 1..8 — plus the scanner to feed them
-// to.
-func benchResponseSet(t testing.TB, blocks int) (*Scanner, [][]byte) {
+// block of the env answered at TTLs 1..8 — plus the scanner and its lone
+// receive worker to feed them to.
+func benchResponseSet(t testing.TB, blocks int) (*Scanner, *recvWorkerOf[uint32], [][]byte) {
 	t.Helper()
 	e := newEnv(t, blocks, 1)
 	sc, err := NewScanner(e.cfg, e.net.NewConn(), e.clock)
@@ -49,17 +49,18 @@ func benchResponseSet(t testing.TB, blocks int) (*Scanner, [][]byte) {
 			pkts = append(pkts, buildTTLExceeded(e.cfg.Source, dst, hop, ttl))
 		}
 	}
-	return sc, pkts
+	return sc, sc.recvWorkers[0], pkts
 }
 
-// BenchmarkHandleResponse measures the full single-receiver response path:
+// BenchmarkHandleResponse measures the full response path of a lone
+// receive worker (every block is its own, so nothing is dispatched):
 // parse, duplicate guard, stop-set lookup and insert, strategy update, and
 // store write. The per-DCB duplicate guard is reset each pass so every
 // iteration takes the full path rather than the short dup exit. Steady
 // state must not allocate — maps are pre-sized and warmed by the first
 // pass, parsing stays on the stack.
 func BenchmarkHandleResponse(b *testing.B) {
-	sc, pkts := benchResponseSet(b, 256)
+	sc, w, pkts := benchResponseSet(b, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -69,7 +70,7 @@ func BenchmarkHandleResponse(b *testing.B) {
 				sc.dcbs[j].respSeen = 0
 			}
 		}
-		sc.handleResponse(pkts[k])
+		w.handlePacket(pkts[k])
 	}
 }
 
@@ -78,17 +79,17 @@ func BenchmarkHandleResponse(b *testing.B) {
 // route and interface maps, re-processing the whole response set (with
 // the duplicate guard cleared) must not allocate at all.
 func TestReceiverHandleResponseNoAllocs(t *testing.T) {
-	sc, pkts := benchResponseSet(t, 64)
+	sc, w, pkts := benchResponseSet(t, 64)
 	// Warm: populate the store's maps and the stop set.
 	for _, p := range pkts {
-		sc.handleResponse(p)
+		w.handlePacket(p)
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		for j := range sc.dcbs {
 			sc.dcbs[j].respSeen = 0
 		}
 		for _, p := range pkts {
-			sc.handleResponse(p)
+			w.handlePacket(p)
 		}
 	})
 	if avg != 0 {

@@ -22,7 +22,7 @@ func TestReceiverSurvivesGarbage(t *testing.T) {
 		n := 1 + rng.Intn(128)
 		pkt := make([]byte, n)
 		rng.Read(pkt)
-		sc.handleResponse(pkt)
+		sc.recvWorkers[0].handlePacket(pkt)
 	}
 	if sc.unparsed.Load() == 0 {
 		t.Fatal("garbage not counted")
@@ -68,25 +68,25 @@ func TestReceiverSurvivesHostileQuotes(t *testing.T) {
 	}
 
 	// Destination rewritten to a foreign universe -> checksum mismatch.
-	sc.handleResponse(build(func(q *probe.IPv4, tp []byte) { q.Dst = 0xDEADBEEF }))
+	sc.recvWorkers[0].handlePacket(build(func(q *probe.IPv4, tp []byte) { q.Dst = 0xDEADBEEF }))
 	if sc.mismatched.Load() != 1 {
 		t.Fatalf("foreign-dst not counted as mismatch: %d", sc.mismatched.Load())
 	}
 	// Source port zeroed -> checksum mismatch.
-	sc.handleResponse(build(func(q *probe.IPv4, tp []byte) { tp[0], tp[1] = 0, 0 }))
+	sc.recvWorkers[0].handlePacket(build(func(q *probe.IPv4, tp []byte) { tp[0], tp[1] = 0, 0 }))
 	if sc.mismatched.Load() != 2 {
 		t.Fatal("zeroed source port not counted")
 	}
 	// Quoted protocol TCP -> unparsable quote.
 	before := sc.unparsed.Load()
-	sc.handleResponse(build(func(q *probe.IPv4, tp []byte) { q.Protocol = probe.ProtoTCP }))
+	sc.recvWorkers[0].handlePacket(build(func(q *probe.IPv4, tp []byte) { q.Protocol = probe.ProtoTCP }))
 	if sc.unparsed.Load() != before+1 {
 		t.Fatal("TCP quote not rejected")
 	}
 	// Valid response still works after all the hostility.
-	sc.handleResponse(build(nil))
-	if sc.store.Interfaces().Len() != 1 {
-		t.Fatalf("valid response not processed: %d interfaces", sc.store.Interfaces().Len())
+	sc.recvWorkers[0].handlePacket(build(nil))
+	if sc.recvWorkers[0].store.Interfaces().Len() != 1 {
+		t.Fatalf("valid response not processed: %d interfaces", sc.recvWorkers[0].store.Interfaces().Len())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,22 +83,23 @@ type ScannerOf[A comparable] struct {
 
 	start time.Time
 
-	dcbs   []dcbOf[A]
-	locks  dcbLocks
+	dcbs []dcbOf[A]
+	// locks[b] guards dcbs[b]: one general mutex per DCB, the paper's
+	// shipped choice (§3.4).
+	locks  []sync.Mutex
 	splits []uint8
 	order  []uint32
 
-	// shards partitions the permuted order among the sending goroutines.
-	// With Config.Senders == 1 there is exactly one shard, run inline on
-	// the Run goroutine — the paper's single-sender configuration.
+	// shards partitions the permuted order among the sending goroutines;
+	// shard 0 runs on the Run goroutine, so Config.Senders == 1 — the
+	// paper's single-sender configuration — starts no extra goroutine.
 	shards []*senderShardOf[A]
 
 	// stop set: interfaces already discovered; backward probing
 	// terminates upon encountering one (§3.2). The default is the local
-	// sharded implementation (receive.go): a single unlocked map owned by
-	// the receiver thread at Receivers == 1, sharded by address hash
-	// above that. Config.StopSet substitutes a custom implementation
-	// (the cluster's globally shared set).
+	// implementation (receive.go), sharded Receivers ways by address
+	// hash. Config.StopSet substitutes a custom implementation (the
+	// cluster's globally shared set).
 	stopSet StopSet[A]
 
 	distMu   sync.Mutex
@@ -108,16 +108,9 @@ type ScannerOf[A comparable] struct {
 
 	scanOffset atomic.Uint32 // source-port offset of the current scan pass
 
-	store *trace.StoreOf[A]
-
-	// slotDiv maps a reply's block to its store slot: block / slotDiv,
-	// where slotDiv is the receiver count (worker i owns blocks ≡ i mod R,
-	// so block/R is unique within a stripe; 1 in single-receiver mode).
-	slotDiv int
-
-	// sharded receive pipeline (Config.Receivers > 1): the workers, their
-	// EOF join counter, and the striped store merged into the result when
-	// the scan ends. All nil/zero in the classic single-receiver mode.
+	// The receive pipeline (receive.go): Config.Receivers workers, their
+	// EOF join counter, and the striped result store — worker i owns the
+	// blocks ≡ i mod R and writes stripe i at slot block/R.
 	recvWorkers []*recvWorkerOf[A]
 	recvEOF     atomic.Int32
 	striped     *trace.StripedStoreOf[A]
@@ -163,8 +156,8 @@ type ScannerOf[A comparable] struct {
 	base           baseCounters
 	preprobeProbes uint64
 
-	// obsMu serializes Config.Observer callbacks when several senders are
-	// probing concurrently, so observers need not be thread-safe.
+	// obsMu serializes Config.Observer callbacks across the senders, so
+	// observers need not be thread-safe.
 	obsMu sync.Mutex
 
 	// Live rate control (SetRate): ratePPS holds the current aggregate
@@ -177,9 +170,9 @@ type ScannerOf[A comparable] struct {
 	rateGen atomic.Uint32
 
 	// phaseParker and phaseDone coordinate the join at the end of each
-	// sending phase when Senders > 1: finished senders unpark the Run
-	// goroutine, which parks (staying visible to the virtual clock)
-	// until every shard has reported in.
+	// sending phase: finished extra senders unpark the Run goroutine,
+	// which parks (staying visible to the virtual clock) until every
+	// shard has reported in.
 	phaseParker *simclock.Parker
 	phaseDone   atomic.Int32
 }
@@ -203,19 +196,18 @@ type senderShardOf[A comparable] struct {
 	rounds      int
 	pacer       pacer
 	rateSeen    uint32 // last rateGen this shard's pacer was derived from
-	pktBuf      [maxProbeBuf]byte
 
-	// Batched-write state (Config.Batch > 1 on a BatchWriter transport;
-	// see batch.go): built probes accumulate in the preallocated arena —
-	// pkts[i] views slot i, metas[i] remembers how to rebuild it with a
-	// fresh timestamp — and are written Config.Batch at a time, or earlier
-	// at every point the shard would block. All nil/zero when unbatched.
+	// The send arena (batch.go): built probes accumulate in Config.Batch
+	// preallocated slots — pkts[i] views slot i, metas[i] remembers how to
+	// rebuild it with a fresh timestamp — and are written when the arena
+	// fills, or earlier at every point the shard would block. bw is the
+	// transport's BatchWriter capability, nil when it has none.
 	bw      BatchWriter
 	arena   []byte
 	pkts    [][]byte
 	metas   []probeMeta[A]
 	nbuf    int
-	flushFn func() // bound sh.flush, allocated once (paceFlush hook)
+	flushFn func() // bound sh.flush, allocated once (the pacer.pace hook)
 }
 
 // probeMeta is the recipe for rebuilding an arena slot's probe: retries
@@ -274,8 +266,8 @@ func NewScannerOf[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn,
 	if cfg.CheckpointEvery < 0 {
 		cfg.CheckpointEvery = 0
 	}
-	if cfg.Batch < 0 {
-		cfg.Batch = 0
+	if cfg.Batch < 1 {
+		cfg.Batch = 1 // a batch of one is the per-packet data path
 	}
 	if cfg.Batch > maxBatch {
 		cfg.Batch = maxBatch
@@ -310,8 +302,11 @@ func NewScannerOf[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn,
 		clock:       clock,
 		dcbs:        make([]dcbOf[A], cfg.Blocks),
 		splits:      make([]uint8, cfg.Blocks),
+		locks:       make([]sync.Mutex, cfg.Blocks),
 		stopSet:     stopSet,
 		phaseParker: clock.NewParker(),
+		striped: trace.NewStripedStoreOf[A](cfg.Receivers, cfg.CollectRoutes,
+			fam.FormatAddr, fam.AddrLess, fam.HashAddr, cfg.Blocks, ifaceHint),
 	}
 	if cfg.CheckpointSink != nil {
 		s.ckpt = &ckptState{
@@ -320,40 +315,9 @@ func NewScannerOf[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn,
 			sink:     cfg.CheckpointSink,
 		}
 	}
-	switch cfg.LockMode {
-	case LockMutex:
-		s.locks = newMutexLocks(cfg.Blocks)
-	case LockSpin:
-		s.locks = newSpinLocks(cfg.Blocks)
-	default:
-		return nil, fmt.Errorf("core: unknown LockMode %d", cfg.LockMode)
-	}
-	if r := cfg.Receivers; r == 1 {
-		s.slotDiv = 1
-		s.store = trace.NewSlotStoreOf[A](cfg.CollectRoutes, fam.FormatAddr,
-			fam.AddrLess, fam.HashAddr, cfg.Blocks, ifaceHint)
-	} else {
-		s.slotDiv = r
-		s.striped = trace.NewStripedStoreOf[A](r, cfg.CollectRoutes,
-			fam.FormatAddr, fam.AddrLess, fam.HashAddr, cfg.Blocks, ifaceHint)
-		s.recvWorkers = make([]*recvWorkerOf[A], r)
-		for i := range s.recvWorkers {
-			w := &recvWorkerOf[A]{
-				s:       s,
-				idx:     i,
-				reader:  cfg.NewReader(),
-				parker:  clock.NewParker(),
-				store:   s.striped.Stripe(i),
-				scratch: make([]dispatchedReply[A], 0, 64),
-			}
-			if cfg.Batch > 1 {
-				if br, ok := w.reader.(BatchReader); ok {
-					w.batch = br
-					w.bufs, w.sizes = makeRecvArena(cfg.Batch)
-				}
-			}
-			s.recvWorkers[i] = w
-		}
+	s.recvWorkers = make([]*recvWorkerOf[A], cfg.Receivers)
+	for i := range s.recvWorkers {
+		s.recvWorkers[i] = newRecvWorker(s, i)
 	}
 	return s, nil
 }
@@ -370,12 +334,7 @@ func (s *ScannerOf[A]) makeShards() {
 		k = 1
 	}
 	s.shards = make([]*senderShardOf[A], k)
-	var bw BatchWriter
-	if s.cfg.Batch > 1 {
-		if w, ok := s.conn.(BatchWriter); ok {
-			bw = w
-		}
-	}
+	bw, _ := s.conn.(BatchWriter)
 	chunk := (len(s.order) + k - 1) / k
 	total := s.currentPPS()
 	base, rem := 0, 0
@@ -401,14 +360,12 @@ func (s *ScannerOf[A]) makeShards() {
 			order:    s.order[lo:hi],
 			pacer:    newPacer(s.clock, pps),
 			rateSeen: s.rateGen.Load(),
+			bw:       bw,
+			arena:    make([]byte, s.cfg.Batch*maxProbeBuf),
+			pkts:     make([][]byte, s.cfg.Batch),
+			metas:    make([]probeMeta[A], s.cfg.Batch),
 		}
-		if bw != nil {
-			sh.bw = bw
-			sh.arena = make([]byte, s.cfg.Batch*maxProbeBuf)
-			sh.pkts = make([][]byte, s.cfg.Batch)
-			sh.metas = make([]probeMeta[A], s.cfg.Batch)
-			sh.flushFn = sh.flush
-		}
+		sh.flushFn = sh.flush
 		s.shards[i] = sh
 	}
 }
@@ -463,16 +420,10 @@ func (sh *senderShardOf[A]) pollRate() {
 	}
 }
 
-// eachShard runs one sending phase: fn over every shard, inline on the
-// Run goroutine for a single sender (the deterministic paper
-// configuration takes exactly the pre-sharding code path), or on one
-// clock-registered goroutine per extra shard otherwise. It returns once
-// every shard's phase has completed.
+// eachShard runs one sending phase: fn over shard 0 on the Run goroutine
+// and over every further shard on its own clock-registered goroutine. It
+// returns once every shard's phase has completed.
 func (s *ScannerOf[A]) eachShard(fn func(*senderShardOf[A])) {
-	if len(s.shards) == 1 {
-		fn(s.shards[0])
-		return
-	}
 	s.phaseDone.Store(0)
 	for _, sh := range s.shards[1:] {
 		s.clock.AddActor()
@@ -582,32 +533,17 @@ func (s *ScannerOf[A]) RunContext(ctx context.Context) (*ResultOf[A], error) {
 	// look like a deadlock to the virtual clock.
 	s.clock.AddActor()
 
-	// Receiver side (decoupled from sending, §3.2). One receiver runs the
-	// classic inline loop; Receivers > 1 runs the sharded receive pipeline
+	// Receiver side (decoupled from sending, §3.2): the receive pipeline
 	// of receive.go, one clock-registered goroutine per worker.
-	recvDone := make(chan struct{})
-	if len(s.recvWorkers) > 0 {
-		var wg sync.WaitGroup
-		for _, w := range s.recvWorkers {
-			s.clock.AddActor()
-			wg.Add(1)
-			go func(w *recvWorkerOf[A]) {
-				defer wg.Done()
-				defer s.clock.DoneActor()
-				w.loop()
-			}(w)
-		}
-		go func() {
-			wg.Wait()
-			close(recvDone)
-		}()
-	} else {
+	var recvDone sync.WaitGroup
+	for _, w := range s.recvWorkers {
 		s.clock.AddActor()
-		go func() {
-			defer close(recvDone)
+		recvDone.Add(1)
+		go func(w *recvWorkerOf[A]) {
+			defer recvDone.Done()
 			defer s.clock.DoneActor()
-			s.receiveLoop()
-		}()
+			w.loop()
+		}(w)
 	}
 
 	usePre := s.cfg.Preprobe != PreprobeOff && !s.cfg.Exhaustive
@@ -643,7 +579,7 @@ func (s *ScannerOf[A]) RunContext(ctx context.Context) (*ResultOf[A], error) {
 	s.phase.Store(1)
 	s.distMu.Unlock()
 
-	res := &ResultOf[A]{Store: s.store}
+	res := &ResultOf[A]{}
 	if usePre {
 		if resumedMain {
 			res.PreprobeProbes = s.preprobeProbes
@@ -689,13 +625,11 @@ func (s *ScannerOf[A]) RunContext(ctx context.Context) (*ResultOf[A], error) {
 	// packets) wake to their EOF before the sender leaves the clock.
 	s.conn.Close()
 	s.clock.DoneActor()
-	<-recvDone
-	if s.striped != nil {
-		// Union is a read view over the stripes: routes stay in place and
-		// emit k-way merges them, so result construction no longer builds
-		// a second copy of the topology.
-		res.Store = s.striped.Union()
-	}
+	recvDone.Wait()
+	// Union is a read view over the stripes (a lone stripe is returned as
+	// itself): routes stay in place and emit k-way merges them, so result
+	// construction builds no second copy of the topology.
+	res.Store = s.striped.Union()
 
 	res.ProbesSent = s.base.probes + s.probesSentTotal()
 	res.Rounds = s.base.rounds
@@ -712,10 +646,10 @@ func (s *ScannerOf[A]) RunContext(ctx context.Context) (*ResultOf[A], error) {
 	res.SendErrors = s.sendErrors.Load()
 	res.SendRetries = s.sendRetries.Load()
 	if s.ckpt != nil {
-		// Final snapshot: every goroutine has joined, so encode from the
-		// merged result store with no locking. A completed scan's snapshot
-		// is marked complete and refuses to resume.
-		s.writeCheckpoint(true, !res.Interrupted, res.Store)
+		// Final snapshot: every goroutine has joined, so encode with no
+		// locking. A completed scan's snapshot is marked complete and
+		// refuses to resume.
+		s.writeCheckpoint(true, !res.Interrupted)
 		res.CheckpointErrors = s.ckpt.errs.Load()
 	}
 	if s.transportDead.Load() {
@@ -838,7 +772,7 @@ func (s *ScannerOf[A]) initDCBs(res *ResultOf[A]) {
 		d := &s.dcbs[b]
 		// Straggler preprobe replies may still be arriving; the receiver
 		// touches dcbPreSeen under the per-DCB lock, so take it here too.
-		s.locks.lock(b)
+		s.locks[b].Lock()
 		d.dest = s.cfg.Targets(int(b))
 
 		split := s.cfg.SplitTTL
@@ -880,7 +814,7 @@ func (s *ScannerOf[A]) initDCBs(res *ResultOf[A]) {
 			// direction's goal (reaching the target) is met.
 			d.flags |= dcbForwardDone
 		}
-		s.locks.unlock(b)
+		s.locks[b].Unlock()
 	}
 }
 
@@ -895,7 +829,7 @@ func (s *ScannerOf[A]) resetForExtraScan(i int) {
 		z := h + uint64(b)*0xa0761d6478bd642f
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z ^= z >> 31
-		s.locks.lock(b)
+		s.locks[b].Lock()
 		if s.cfg.ExtraScanTargets != nil {
 			// §5.4: vary the destination address within the block across
 			// extra scans to expose address-dependent internal paths.
@@ -920,7 +854,7 @@ func (s *ScannerOf[A]) resetForExtraScan(i int) {
 		d.respSeen = 0 // each pass dedups its own replies
 		d.fwRetries = 0
 		s.splits[b] = start
-		s.locks.unlock(b)
+		s.locks[b].Unlock()
 	}
 }
 
@@ -946,7 +880,7 @@ func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 			next := d.next
 
 			var bw, fw uint8
-			s.locks.lock(cur)
+			s.locks[cur].Lock()
 			if d.nextBackward > 0 {
 				bw = d.nextBackward
 				d.nextBackward--
@@ -959,7 +893,7 @@ func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 				}
 			}
 			dst := d.dest
-			s.locks.unlock(cur)
+			s.locks[cur].Unlock()
 
 			if bw > 0 {
 				sh.sendProbe(dst, bw, false, srcPortOffset)
@@ -971,7 +905,7 @@ func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 				// No work this round: re-check completion under the lock
 				// (a response may have just extended the horizon).
 				retried := 0
-				s.locks.lock(cur)
+				s.locks[cur].Lock()
 				done := d.nextBackward == 0 &&
 					(d.flags&dcbForwardDone != 0 || d.nextForward > d.forwardHorizon)
 				if done && s.cfg.ForwardRetries > 0 && s.cfg.GapLimit > 0 &&
@@ -997,7 +931,12 @@ func (sh *senderShardOf[A]) runRounds(srcPortOffset uint16) {
 						}
 					}
 				}
-				s.locks.unlock(cur)
+				if done {
+					// Under the lock: the receiver updates the other flag
+					// bits of this byte (processReply).
+					d.flags |= dcbRemoved
+				}
+				s.locks[cur].Unlock()
 				if retried > 0 {
 					sh.noteRetransmits(uint64(retried))
 				}
@@ -1058,92 +997,6 @@ func (s *ScannerOf[A]) LiveCounters() (probes, replies uint64) {
 	return s.liveProbes.Load(), s.liveReplies.Load()
 }
 
-// sendProbe builds, stamps, paces and writes one probe. Transient write
-// errors are retried with capped exponential backoff (Config.SendRetries);
-// a probe that still cannot be written is dropped and counted — one lost
-// datapoint, not a failed scan. Only successfully written probes count as
-// sent.
-func (sh *senderShardOf[A]) sendProbe(dst A, ttl uint8, preprobe bool, srcPortOffset uint16) {
-	s := sh.s
-	sh.pollRate()
-	if sh.bw != nil {
-		sh.sendProbeBatched(dst, ttl, preprobe, srcPortOffset)
-		return
-	}
-	elapsed := s.clock.Now().Sub(s.start)
-	n := s.fam.BuildProbe(sh.pktBuf[:], s.cfg.Source, dst, ttl, preprobe,
-		elapsed, srcPortOffset)
-	err := s.conn.WritePacket(sh.pktBuf[:n])
-	for retry := 0; err != nil && retry < s.cfg.SendRetries && isTemporary(err); retry++ {
-		s.sendRetries.Add(1)
-		backoff := time.Millisecond << retry
-		if backoff > 50*time.Millisecond {
-			backoff = 50 * time.Millisecond
-		}
-		s.clock.Sleep(backoff)
-		// Rebuild: the probe's timestamp rides in the packet (§3.1), so a
-		// retried probe must carry its actual send time or the derived RTT
-		// would include the backoff.
-		elapsed = s.clock.Now().Sub(s.start)
-		n = s.fam.BuildProbe(sh.pktBuf[:], s.cfg.Source, dst, ttl, preprobe,
-			elapsed, srcPortOffset)
-		err = s.conn.WritePacket(sh.pktBuf[:n])
-	}
-	if err != nil {
-		s.noteSendError(err)
-	} else {
-		sh.probesSent++
-		s.liveProbes.Add(1)
-		if s.ckpt != nil {
-			s.maybeCheckpoint(1)
-		}
-	}
-	if s.cfg.Observer != nil {
-		if len(s.shards) > 1 {
-			s.obsMu.Lock()
-			s.cfg.Observer(dst, ttl, elapsed)
-			s.obsMu.Unlock()
-		} else {
-			s.cfg.Observer(dst, ttl, elapsed)
-		}
-	}
-	sh.pacer.pace()
-}
-
-// receiveLoop is the receiving thread of the single-receiver mode (§3.2):
-// it decodes every response from the quoted probe header alone and updates
-// the corresponding DCB. The sharded mode's per-worker loop lives in
-// receive.go.
-func (s *ScannerOf[A]) receiveLoop() {
-	if s.cfg.Batch > 1 {
-		if br, ok := s.conn.(BatchReader); ok {
-			s.receiveLoopBatch(br)
-			return
-		}
-	}
-	var buf [4096]byte
-	for {
-		n, err := s.conn.ReadPacket(buf[:])
-		if err != nil {
-			if err != io.EOF {
-				// A transport failure, not a malformed packet: account it
-				// separately from UnparsedResponses.
-				s.readErrors.Add(1)
-			}
-			return
-		}
-		s.handleResponse(buf[:n])
-	}
-}
-
-// handleResponse decodes and fully processes one response packet on the
-// calling goroutine (the single-receiver path).
-func (s *ScannerOf[A]) handleResponse(pkt []byte) {
-	if block, r, ok := s.parseResponse(pkt); ok {
-		s.processReply(s.store, block, &r)
-	}
-}
-
 // parseResponse runs the parallel-safe front half of response handling:
 // decode the packet, account unparseable and mismatched ones, and map the
 // quoted destination to its block. ok reports whether a reply came out.
@@ -1168,9 +1021,8 @@ func (s *ScannerOf[A]) parseResponse(pkt []byte) (int, Reply[A], bool) {
 }
 
 // processReply applies one decoded reply to the probing state: the
-// block's DCB, the stop set, and the given result store (the scanner's
-// only store in single-receiver mode, the owning worker's stripe in
-// sharded mode). All replies of a block go through exactly one goroutine.
+// block's DCB, the stop set, and the owning worker's stripe of the result
+// store. All replies of a block go through exactly one goroutine.
 func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply[A]) {
 	s.liveReplies.Add(1)
 	if ck := s.ckpt; ck != nil {
@@ -1180,8 +1032,9 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 		ck.mu.RLock()
 		defer ck.mu.RUnlock()
 	}
+	slot := block / len(s.recvWorkers) // the block's record in its owner's stripe
 	if r.Preprobe {
-		s.handlePreprobeResponse(store, block, r)
+		s.handlePreprobeResponse(store, block, slot, r)
 		return
 	}
 
@@ -1194,9 +1047,9 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 		// route or re-run the strategy update below (which would see its
 		// own hop in the stop set and terminate backward probing early).
 		bit := uint32(1) << (r.InitTTL - 1)
-		s.locks.lock(uint32(block))
+		s.locks[block].Lock()
 		if d.respSeen&bit != 0 {
-			s.locks.unlock(uint32(block))
+			s.locks[block].Unlock()
 			s.dupResponses.Add(1)
 			return
 		}
@@ -1228,8 +1081,8 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 				d.forwardHorizon = h
 			}
 		}
-		s.locks.unlock(uint32(block))
-		store.AddHopAt(block/s.slotDiv, r.Dst, r.InitTTL, r.Hop, r.RTT)
+		s.locks[block].Unlock()
+		store.AddHopAt(slot, r.Dst, r.InitTTL, r.Hop, r.RTT)
 		s.stopSet.Add(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.HopDiscovered(r.Dst, r.InitTTL, r.Hop)
@@ -1242,15 +1095,15 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 		// enter the interface set, and no backward/horizon strategy runs.
 		// Probes past the destination legitimately elicit one unreachable
 		// each, so repeats are not necessarily network duplicates.
-		store.SetReachedAt(block/s.slotDiv, r.Dst, r.Dist, r.Hop, r.RTT)
+		store.SetReachedAt(slot, r.Dst, r.Dist, r.Hop, r.RTT)
 		s.stopSet.Add(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.DestReached(r.Dst, r.Dist)
 		}
-		s.locks.lock(uint32(block))
+		s.locks[block].Lock()
 		d.flags |= dcbForwardDone
 		d.routeLen = r.Dist
-		s.locks.unlock(uint32(block))
+		s.locks[block].Unlock()
 
 	default:
 		s.unparsed.Add(1)
@@ -1261,9 +1114,9 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 // response to the TTL-MaxTTL preprobe yields the exact hop distance from a
 // single probe. TTL-exceeded preprobe responses are folded into the
 // discovered topology (§3.3.5).
-func (s *ScannerOf[A]) handlePreprobeResponse(store *trace.StoreOf[A], block int, r *Reply[A]) {
+func (s *ScannerOf[A]) handlePreprobeResponse(store *trace.StoreOf[A], block, slot int, r *Reply[A]) {
 	if r.Kind == ReplyUnreachable {
-		store.SetReachedAt(block/s.slotDiv, r.Dst, r.Dist, r.Hop, r.RTT)
+		store.SetReachedAt(slot, r.Dst, r.Dist, r.Hop, r.RTT)
 		s.stopSet.Add(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.DestReached(r.Dst, r.Dist)
@@ -1282,15 +1135,15 @@ func (s *ScannerOf[A]) handlePreprobeResponse(store *trace.StoreOf[A], block int
 		// to them quotes the same initial TTL: any reply after the first
 		// (a duplicate, or a retry pass answered by the same router) adds
 		// nothing and must not re-append the hop to the route.
-		s.locks.lock(uint32(block))
+		s.locks[block].Lock()
 		preSeen := s.dcbs[block].flags&dcbPreSeen != 0
 		s.dcbs[block].flags |= dcbPreSeen
-		s.locks.unlock(uint32(block))
+		s.locks[block].Unlock()
 		if preSeen {
 			s.dupResponses.Add(1)
 			return
 		}
-		store.AddHopAt(block/s.slotDiv, r.Dst, r.InitTTL, r.Hop, r.RTT)
+		store.AddHopAt(slot, r.Dst, r.InitTTL, r.Hop, r.RTT)
 		s.stopSet.Add(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.HopDiscovered(r.Dst, r.InitTTL, r.Hop)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -156,6 +157,72 @@ func TestMakeShardsPartition(t *testing.T) {
 			if tc.pps > 0 && (sum < 0.99*float64(tc.pps) || sum > 1.01*float64(tc.pps)) {
 				t.Fatalf("n=%d senders=%d pps=%d: aggregate pacer rate %.1f", tc.n, tc.senders, tc.pps, sum)
 			}
+		}
+	}
+}
+
+// firstNowClock runs fn on the first Now call — in runRounds, the instant
+// after the round list is built.
+type firstNowClock struct {
+	simclock.Waiter
+	once sync.Once
+	fn   func()
+}
+
+func (c *firstNowClock) Now() time.Time {
+	c.once.Do(c.fn)
+	return c.Waiter.Now()
+}
+
+// TestRemovalDoesNotRaceReplies: the sender retiring a finished
+// destination and the receiver recording a late reply for it both update
+// the DCB's flags byte, so both must do it under the DCB lock — otherwise
+// one of dcbRemoved / dcbForwardDone can be lost. A sender round that
+// retires every destination runs against a receiver applying an
+// unreachable reply to every destination, over and over, with nothing but
+// the DCB locks between them. Meaningful under -race (an unlocked update
+// on either side is reported); without it, the lost bit itself is what
+// fails.
+func TestRemovalDoesNotRaceReplies(t *testing.T) {
+	const blocks = 2048
+	e := newEnvOnRealClock(t, blocks, 3)
+	e.cfg.PPS = 0
+	e.cfg.MinRoundTime = time.Nanosecond
+	clock := &firstNowClock{Waiter: e.clock}
+	sc, err := NewScanner(e.cfg, e.net.NewConn(), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.order = make([]uint32, blocks)
+	for b := range sc.order {
+		sc.order[b] = uint32(b)
+		// Nothing left to probe in either direction: the first round
+		// retires the destination.
+		sc.dcbs[b] = dcb{dest: e.cfg.Targets(b), nextForward: 1}
+	}
+	sc.makeShards()
+
+	var receiver sync.WaitGroup
+	receiver.Add(1)
+	clock.fn = func() {
+		go func() {
+			defer receiver.Done()
+			w := sc.recvWorkers[0]
+			for pass := 0; pass < 40; pass++ {
+				for b := 0; b < blocks; b++ {
+					dst := e.cfg.Targets(b)
+					sc.processReply(w.store, b, &Reply[uint32]{Kind: ReplyUnreachable, Dst: dst, Hop: dst, Dist: 9})
+				}
+				time.Sleep(time.Millisecond) // no edge to the sender: outlast its round
+			}
+		}()
+	}
+	sc.shards[0].runRounds(0)
+	receiver.Wait()
+
+	for b := range sc.dcbs {
+		if f := sc.dcbs[b].flags; f&dcbRemoved == 0 || f&dcbForwardDone == 0 {
+			t.Fatalf("block %d: flags %#b lost an update (want removed and forward-done)", b, f)
 		}
 	}
 }

@@ -64,22 +64,16 @@ type Config struct {
 	// PPS throttles probing; <= 0 disables (real-clock only).
 	PPS int
 
-	// Senders is the number of sending goroutines sharing the PPS budget
-	// (the engine's sharded multi-sender mode); <= 0 and 1 both mean the
-	// deterministic single-sender configuration.
-	Senders int
-
-	// Receivers is the number of reply-processing workers (the engine's
-	// sharded receive pipeline); <= 0 and 1 both mean the classic inline
-	// receiver. NewReader supplies the per-worker read handles and is
-	// required when Receivers > 1.
+	// Senders, Receivers and Batch size the engine's one data path
+	// (core.ConfigOf): sending goroutines sharing the PPS budget (<= 0
+	// means 1, the deterministic configuration), workers in the receive
+	// pipeline (<= 0 means 1), and packets per transport call (<= 0 means
+	// 1). NewReader supplies the per-worker read handles and is required
+	// when Receivers > 1; without it the lone worker reads the conn itself.
+	Senders   int
 	Receivers int
 	NewReader func() PacketReader
-
-	// Batch is the maximum number of packets per transport call on both
-	// data paths (the engine's batched I/O mode; core.ConfigOf.Batch).
-	// <= 1 means one packet per call.
-	Batch int
+	Batch     int
 
 	// Preprobe enables the one-probe distance measurement phase; with
 	// SamePrefixPrediction, measured distances predict unmeasured targets

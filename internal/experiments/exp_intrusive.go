@@ -341,8 +341,8 @@ func SenderScaling(s *Scenario, senders []int) ([]SenderRateRow, error) {
 type ReceiverRateRow struct {
 	Receivers    int
 	MeasuredKpps float64
-	// Interfaces discovered — the sanity check that the sharded receive
-	// pipeline sees the same topology as the inline receiver.
+	// Interfaces discovered — the sanity check that the receive pipeline
+	// sees the same topology at every worker count.
 	Interfaces int
 }
 
@@ -419,8 +419,7 @@ func (r *BatchSweepResult) WriteText(w io.Writer) error {
 // BatchSweep measures the unthrottled probing rate at each batch size on
 // the near-zero-RTT Table 5 network — the end-to-end view of what the
 // batched data path (arena-fed WriteBatch sends, ReadBatch receive
-// workers) buys over one-transport-call-per-packet. Batch 1 is the
-// classic path.
+// workers) buys over one-transport-call-per-packet (batch 1).
 func BatchSweep(s *Scenario, batches []int) (*BatchSweepResult, error) {
 	if len(batches) == 0 {
 		batches = []int{1, 8, 32, 128}

@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"errors"
-	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,9 +8,6 @@ import (
 	"github.com/flashroute/flashroute/internal/simclock"
 	"github.com/flashroute/flashroute/internal/simnet"
 )
-
-// ErrClosed is returned by writes on a closed Conn.
-var ErrClosed = errors.New("netsim: connection closed")
 
 // Stats counts what the network saw. All fields are updated atomically and
 // may be read during a scan.
@@ -111,30 +105,10 @@ type respPayload struct {
 }
 
 // Conn is a raw-socket-like connection from the vantage point into the
-// simulated network. One goroutine may write while another reads — the
-// decoupled sender/receiver design of the paper (§3.2).
-type Conn struct {
-	net *Net
-	src uint32
-	// vantage selects the ingress path probes take into the topology
-	// (Topology.ResolveFrom): 0 is the classic vantage point, higher
-	// values are cluster workers with a private first hop. The source
-	// address stays the vantage point's for every value — replies route
-	// back by connection, and keeping the 5-tuple identical keeps
-	// per-flow load-balancer decisions invariant across vantages.
-	vantage int
-	imp     *simnet.ImpairState // nil unless Params.Impair is enabled
-	inbox   *simnet.Inbox[respPayload]
-
-	// Batch-path scratch, reused across calls so the steady state stays
-	// allocation-free. wrMu serializes WriteBatch callers (several sender
-	// shards may batch-write the same Conn; single-packet writers never
-	// take it); rdScratch belongs to the Conn-level reader, of which the
-	// contract allows exactly one.
-	wrMu      sync.Mutex
-	wrStage   []simnet.Pending[respPayload]
-	rdScratch []respPayload
-}
+// simulated network: the shared simnet connection (write and read paths,
+// batching, impairments, fault windows, per-worker read handles) over the
+// IPv4 backend below.
+type Conn = simnet.Conn[respPayload]
 
 // NewConn opens a connection sourced at the vantage point.
 func (n *Net) NewConn() *Conn {
@@ -147,75 +121,18 @@ func (n *Net) NewConn() *Conn {
 // supports any number of concurrently probing connections (stats are
 // atomic, rate-limit buckets sharded, inboxes per connection).
 func (n *Net) NewVantageConn(v int) *Conn {
-	c := &Conn{
-		net:     n,
-		src:     n.topo.Vantage(),
-		vantage: v,
-		inbox:   simnet.NewInbox[respPayload](n.clock, n.epoch),
-	}
-	if n.topo.P.Impair.Enabled() {
-		c.imp = simnet.NewImpairState(n.topo.P.Seed)
-	}
-	return c
+	return simnet.NewConn[respPayload](backend{n}, n.clock, n.epoch,
+		&n.topo.P.Impair, n.topo.P.Seed, &n.Stats.DeliveryStats, v)
 }
 
-// WritePacket injects one serialized IPv4 probe packet into the network.
-// The write itself never blocks; the response (if any) is scheduled for
-// delivery after the modeled RTT.
-func (c *Conn) WritePacket(pkt []byte) error {
-	return c.write1(pkt, c.net.Elapsed(), nil)
-}
+// backend is the IPv4 half of a Conn (simnet.Backend): what a probe meets
+// in this network and what the response looks like on the wire.
+type backend struct{ n *Net }
 
-// WriteBatch injects pkts in order (sendmmsg shape). It returns the
-// number of packets consumed; a non-nil error with n < len(pkts) means
-// pkts[n] failed — per-packet fault semantics, exactly as the equivalent
-// WritePacket would have failed — and packets after it were not
-// attempted. All responses elicited by the batch are committed to the
-// inbox under a single lock with a single reader wakeup; per-packet
-// impairment and fault draws happen in write order, so a batched write
-// sequence consumes the RNG identically to the unbatched one.
-func (c *Conn) WriteBatch(pkts [][]byte) (int, error) {
-	n := c.net
-	c.wrMu.Lock()
-	defer c.wrMu.Unlock()
-	// One clock read covers the whole batch: on the virtual clock no time
-	// can pass while the writer runs, and fault windows — the only
-	// behavior where sub-batch timing matters — re-read the clock below.
-	now := n.Elapsed()
-	faults := n.topo.P.Impair.HasFaults()
-	c.wrStage = c.wrStage[:0]
-	for i, pkt := range pkts {
-		pktNow := now
-		if faults {
-			pktNow = n.Elapsed() // a window edge may split the batch on a real clock
-		}
-		if err := c.write1(pkt, pktNow, &c.wrStage); err != nil {
-			if !simnet.ScheduleAllResponses(c.inbox, &n.Stats.DeliveryStats, c.wrStage) {
-				return i, ErrClosed
-			}
-			return i, err
-		}
-	}
-	if !simnet.ScheduleAllResponses(c.inbox, &n.Stats.DeliveryStats, c.wrStage) {
-		return len(pkts), ErrClosed
-	}
-	return len(pkts), nil
-}
-
-// write1 is the full per-packet write path at instant now. Responses are
-// delivered straight to the inbox (stage nil, the WritePacket path) or
-// appended to *stage for one batched commit.
-func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[respPayload]) error {
-	n := c.net
-
-	// Transport-fault windows: a faulted write fails before the probe
-	// enters the network at all — not counted as sent, no impairment
-	// draws consumed, so zero-fault runs are bit-identical.
-	if im := &n.topo.P.Impair; im.HasFaults() && im.WriteFault(now, c.vantage) {
-		n.Stats.WriteFaults.Add(1)
-		return &simnet.TransientError{Op: "write"}
-	}
-
+// Write1 takes one serialized IPv4 probe through the network at instant
+// now: parse, resolve, rate-limit, and hand each response to c.Deliver.
+func (b backend) Write1(c *Conn, pkt []byte, now time.Duration, stage *[]simnet.Pending[respPayload]) error {
+	n := b.n
 	n.Stats.ProbesSent.Add(1)
 
 	var hdr probe.IPv4
@@ -236,16 +153,9 @@ func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[res
 
 	// Outbound impairments: a lost probe never reaches a hop (no resolve,
 	// no rate-limit debit); a duplicated probe traverses the network twice.
-	copies := 1
-	if c.imp != nil {
-		copies = c.imp.ProbeFate(&n.topo.P.Impair)
-		if copies == 0 {
-			n.Stats.ProbesLost.Add(1)
-			return nil
-		}
-		if copies == 2 {
-			n.Stats.Duplicates.Add(1)
-		}
+	copies := c.ProbeCopies()
+	if copies == 0 {
+		return nil
 	}
 
 	var transport [8]byte
@@ -279,14 +189,14 @@ func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[res
 				n.Stats.RateLimited.Add(1)
 				continue
 			}
-			if err := c.deliver(resp, at, stage); err != nil {
+			if err := c.Deliver(resp, at, stage); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	flow := flowHash(hdr.Src, hdr.Dst, srcPort, dstPort, hdr.Protocol)
-	hop := n.topo.ResolveFrom(c.vantage, hdr.Dst, hdr.TTL, flow, now, hdr.Protocol)
+	hop := n.topo.ResolveFrom(c.Vantage(), hdr.Dst, hdr.TTL, flow, now, hdr.Protocol)
 
 	var kind uint8
 	switch hop.Kind {
@@ -328,128 +238,16 @@ func (c *Conn) write1(pkt []byte, now time.Duration, stage *[]simnet.Pending[res
 			n.Stats.RateLimited.Add(1)
 			continue
 		}
-		if err := c.deliver(resp, at, stage); err != nil {
+		if err := c.Deliver(resp, at, stage); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// deliver schedules one emitted response for delivery to the inbox,
-// applying inbound impairments (loss, duplication, reordering, extra
-// jitter) when enabled. With impairments off it is exactly the
-// pre-impairment scheduling path. With stage non-nil the surviving
-// response is appended there instead — same fault and impairment draws,
-// commit deferred to the caller's ScheduleAllResponses.
-func (c *Conn) deliver(resp respPayload, at time.Duration, stage *[]simnet.Pending[respPayload]) error {
-	if im := &c.net.topo.P.Impair; im.HasFaults() {
-		adj, dropped := im.DeliveryFault(at, c.vantage)
-		if dropped {
-			c.net.Stats.FaultDropped.Add(1)
-			return nil
-		}
-		if adj != at {
-			c.net.Stats.FaultStalled.Add(1)
-			at = adj
-		}
-	}
-	if stage != nil {
-		if p, ok := simnet.StageResponse(c.imp, &c.net.topo.P.Impair,
-			&c.net.Stats.DeliveryStats, resp, at); ok {
-			*stage = append(*stage, p)
-		}
-		return nil
-	}
-	if !simnet.ScheduleResponse(c.inbox, c.imp, &c.net.topo.P.Impair,
-		&c.net.Stats.DeliveryStats, resp, at) {
-		return ErrClosed
-	}
-	return nil
-}
-
-// ReadPacket blocks until a response is deliverable, materializes it into
-// buf, and returns its length. It returns io.EOF once the connection is
-// closed and drained.
-func (c *Conn) ReadPacket(buf []byte) (int, error) {
-	resp, ok := c.inbox.Next()
-	if !ok {
-		return 0, io.EOF
-	}
-	return c.materialize(buf, &resp), nil
-}
-
-// ReadBatch is the batch form of ReadPacket (recvmmsg shape): it blocks
-// until a response is deliverable, then fills bufs[i]/sizes[i] with every
-// response already deliverable at that instant — in the exact (delivery
-// time, sequence) order consecutive ReadPacket calls would observe — up
-// to len(bufs). It returns (0, io.EOF) once the connection is closed and
-// drained. Like ReadPacket, at most one goroutine may use it.
-func (c *Conn) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
-	if len(c.rdScratch) < len(bufs) {
-		c.rdScratch = make([]respPayload, len(bufs))
-	}
-	k, ok := c.inbox.NextBatch(c.rdScratch[:len(bufs)])
-	if !ok {
-		return 0, io.EOF
-	}
-	for i := 0; i < k; i++ {
-		sizes[i] = c.materialize(bufs[i], &c.rdScratch[i])
-	}
-	return k, nil
-}
-
-// Reader is a per-receiver read handle on the Conn: each receive worker of
-// a sharded receive pipeline holds its own Reader so R workers can block
-// on (and drain) the same inbox concurrently under the virtual clock.
-type Reader struct {
-	c       *Conn
-	rd      *simnet.Reader[respPayload]
-	scratch []respPayload // ReadBatch staging, owned by this handle's worker
-}
-
-// NewReader opens a read handle. The plain Conn.ReadPacket and any number
-// of Readers may be used on the same Conn, though engines use one or the
-// other.
-func (c *Conn) NewReader() *Reader {
-	return &Reader{c: c, rd: c.inbox.NewReader()}
-}
-
-// ReadPacket is Conn.ReadPacket on this handle, with one addition: it
-// returns (0, nil) when the wait was interrupted by Wake before a response
-// became deliverable, so the caller can service out-of-band work.
-func (r *Reader) ReadPacket(buf []byte) (int, error) {
-	resp, ok, eof := r.rd.Next()
-	if eof {
-		return 0, io.EOF
-	}
-	if !ok {
-		return 0, nil
-	}
-	return r.c.materialize(buf, &resp), nil
-}
-
-// ReadBatch is Conn.ReadBatch on this handle, with the Reader extension:
-// it returns (0, nil) when the wait was interrupted by Wake before any
-// response became deliverable.
-func (r *Reader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
-	if len(r.scratch) < len(bufs) {
-		r.scratch = make([]respPayload, len(bufs))
-	}
-	k, eof := r.rd.NextBatch(r.scratch[:len(bufs)])
-	if eof {
-		return 0, io.EOF
-	}
-	for i := 0; i < k; i++ {
-		sizes[i] = r.c.materialize(bufs[i], &r.scratch[i])
-	}
-	return k, nil
-}
-
-// Wake interrupts this handle's blocked (or next) ReadPacket.
-func (r *Reader) Wake() { r.rd.Wake() }
-
-// materialize renders a pending response into wire bytes in buf.
-func (c *Conn) materialize(buf []byte, r *respPayload) int {
+// Materialize renders a pending response into wire bytes in buf.
+func (b backend) Materialize(buf []byte, r respPayload) int {
+	src := b.n.topo.Vantage()
 	switch r.kind {
 	case respEchoReply:
 		total := probe.IPv4HeaderLen + probe.EchoLen
@@ -458,7 +256,7 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 			TTL:         64,
 			Protocol:    probe.ProtoICMP,
 			Src:         r.hop,
-			Dst:         c.src,
+			Dst:         src,
 		}
 		outer.Marshal(buf)
 		b := buf[probe.IPv4HeaderLen:]
@@ -476,7 +274,7 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 			TTL:         64,
 			Protocol:    probe.ProtoTCP,
 			Src:         r.hop,
-			Dst:         c.src,
+			Dst:         src,
 		}
 		outer.Marshal(buf)
 		var pt probe.TCP
@@ -504,7 +302,7 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 			TTL:         64,
 			Protocol:    probe.ProtoICMP,
 			Src:         r.hop,
-			Dst:         c.src,
+			Dst:         src,
 		}
 		outer.Marshal(buf)
 		q := r.quote
@@ -515,16 +313,6 @@ func (c *Conn) materialize(buf []byte, r *respPayload) int {
 
 // MaxResponseLen is the largest packet ReadPacket can produce.
 const MaxResponseLen = probe.IPv4HeaderLen + probe.ICMPErrorLen
-
-// Close closes the connection; pending deliverable responses may still be
-// read, after which ReadPacket returns io.EOF.
-func (c *Conn) Close() error {
-	c.inbox.Close()
-	return nil
-}
-
-// Pending returns the number of scheduled, not yet read responses.
-func (c *Conn) Pending() int { return c.inbox.Len() }
 
 // flowHash derives the load-balancer flow identifier from the 5-tuple
 // (FNV-1a over the tuple bytes), as a per-flow balancer would.

@@ -194,7 +194,7 @@ func (s *Scanner) Run() (*Result, error) {
 	go func() {
 		defer close(recvDone)
 		defer s.clock.DoneActor()
-		s.receiveLoop()
+		s.receive()
 	}()
 
 	remaining := s.cfg.Blocks
@@ -281,9 +281,9 @@ func (s *Scanner) sendProbe(dst uint32, ttl uint8) {
 	}
 }
 
-// receiveLoop processes responses: it owns the stop set and the store, and
+// receive processes responses: it owns the stop set and the store, and
 // forwards per-destination decisions to the sender via the updates queue.
-func (s *Scanner) receiveLoop() {
+func (s *Scanner) receive() {
 	var buf [4096]byte
 	for {
 		n, err := s.conn.ReadPacket(buf[:])
@@ -293,11 +293,11 @@ func (s *Scanner) receiveLoop() {
 			}
 			return
 		}
-		s.handleResponse(buf[:n])
+		s.handlePacket(buf[:n])
 	}
 }
 
-func (s *Scanner) handleResponse(pkt []byte) {
+func (s *Scanner) handlePacket(pkt []byte) {
 	resp, err := probe.ParseResponse(pkt)
 	if err != nil {
 		return

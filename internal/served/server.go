@@ -71,17 +71,30 @@ type Job struct {
 	userCanceled atomic.Bool
 	cancel       context.CancelFunc
 	rate         atomic.Int64
-	handle       atomic.Value // liveScan
+	handle       atomic.Pointer[liveScan]
 	done         chan struct{}
 }
 
 // liveHandle returns the running scan handle, nil before the scan
 // starts or after the job goroutine exits.
 func (j *Job) liveHandle() liveScan {
-	if h, ok := j.handle.Load().(liveScan); ok {
-		return h
+	if h := j.handle.Load(); h != nil {
+		return *h
 	}
 	return nil
+}
+
+// setHandle publishes the running scan handle to the HTTP handlers and
+// the budget's rate pushes.
+func (j *Job) setHandle(h liveScan) { j.handle.Store(&h) }
+
+// release drops everything a job holds only while it can still run: the
+// scan handle (and through it the scanner, its DCB array and the result
+// store) and the checkpoints loaded for a resume. Caller holds the server
+// lock; the job goroutine is on its way out.
+func (j *Job) release() {
+	j.handle.Store(nil)
+	j.snapshot, j.shardSnaps = nil, nil
 }
 
 // applyRate is the budget's push callback: remember the grant and, when
@@ -353,7 +366,7 @@ func (s *Server) runV4(ctx context.Context, j *Job, rate, every int, sink func([
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
-	j.handle.Store(liveScan(h))
+	j.setHandle(h)
 	h.SetRate(int(j.rate.Load())) // adopt any grant change that raced the start
 	res, err := h.Wait()
 	if err != nil {
@@ -396,7 +409,7 @@ func (s *Server) runV6(ctx context.Context, j *Job, rate, every int, sink func([
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
-	j.handle.Store(liveScan(h))
+	j.setHandle(h)
 	h.SetRate(int(j.rate.Load()))
 	res, err := h.Wait()
 	if err != nil {
@@ -507,7 +520,7 @@ func (s *Server) runCluster(ctx context.Context, j *Job, rate, every int) {
 			}, nil
 		}
 	}
-	j.handle.Store(h)
+	j.setHandle(h)
 	h.SetRate(int(j.rate.Load()))
 	out, err := wait()
 	if err != nil {
@@ -568,6 +581,7 @@ func (s *Server) finishJob(j *Job, state, errMsg string, sum *scanSummary) {
 		j.migrations = sum.migrations
 		j.degraded = sum.degraded
 	}
+	j.release()
 	rec := s.recordLocked(j)
 	s.active--
 	close(j.done)
@@ -585,6 +599,7 @@ func (s *Server) finishJob(j *Job, state, errMsg string, sum *scanSummary) {
 // out — carries the exact probing state.
 func (s *Server) releaseInterrupted(j *Job) {
 	s.mu.Lock()
+	j.release()
 	s.active--
 	close(j.done)
 	s.mu.Unlock()

@@ -48,6 +48,10 @@ func NewInbox[P any](clock simclock.Waiter, epoch time.Time) *Inbox[P] {
 	return &Inbox[P]{clock: clock, epoch: epoch, parker: clock.NewParker()}
 }
 
+// Elapsed returns the clock's time since the inbox epoch — the time base
+// of every DeliverAt.
+func (in *Inbox[P]) Elapsed() time.Duration { return in.clock.Now().Sub(in.epoch) }
+
 // Schedule pushes copies instances of payload, copy i deliverable at
 // base+extra[i], and wakes the reader. It reports false — scheduling
 // nothing — once the inbox is closed.
@@ -66,11 +70,11 @@ func (in *Inbox[P]) Schedule(payload P, copies int, base time.Duration, extra [2
 	return true
 }
 
-// Pending is one staged response awaiting batch scheduling: the payload
-// with its impairment-resolved copy count and delivery offsets. Staging
-// (StageResponse) and committing (ScheduleAllResponses) split the work of
-// ScheduleResponse so a whole write batch pays for the inbox lock and the
-// reader wakeup once instead of once per response.
+// Pending is one staged response awaiting scheduling: the payload with
+// its impairment-resolved copy count and delivery offsets. Staging
+// (StageResponse) is split from committing (ScheduleAllResponses) so a
+// whole write batch pays for the inbox lock and the reader wakeup once
+// instead of once per response.
 type Pending[P any] struct {
 	Payload P
 	Copies  int
@@ -111,7 +115,7 @@ func (in *Inbox[P]) ScheduleAll(batch []Pending[P]) bool {
 func (in *Inbox[P]) NextBatch(out []P) (int, bool) {
 	for {
 		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
+		now := in.Elapsed()
 		k := 0
 		for k < len(out) && len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
 			out[k] = in.pop().Payload
@@ -152,7 +156,7 @@ func (in *Inbox[P]) wakeAll() {
 func (in *Inbox[P]) Next() (P, bool) {
 	for {
 		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
+		now := in.Elapsed()
 		if len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
 			it := in.pop()
 			in.mu.Unlock()
@@ -181,12 +185,13 @@ func (in *Inbox[P]) Close() {
 	in.wakeAll()
 }
 
-// Reader is a per-receiver handle onto an Inbox for concurrent draining: R
-// receive workers each hold their own Reader, so each blocks on its own
+// InboxReader is a per-receiver handle onto an Inbox for concurrent
+// draining (Conn's Reader wraps one): R receive workers each hold their
+// own, so each blocks on its own
 // Parker (a Parker must never be shared by two concurrently parked
 // actors). Pops are serialized by the inbox mutex; delivery order across
 // readers follows the (DeliverAt, Seq) heap order of the pops themselves.
-type Reader[P any] struct {
+type InboxReader[P any] struct {
 	in     *Inbox[P]
 	parker *simclock.Parker
 }
@@ -194,8 +199,8 @@ type Reader[P any] struct {
 // NewReader registers and returns a new read handle. Readers are
 // registered for the life of the inbox; create them before (or while)
 // draining, not per read.
-func (in *Inbox[P]) NewReader() *Reader[P] {
-	r := &Reader[P]{in: in, parker: in.clock.NewParker()}
+func (in *Inbox[P]) NewReader() *InboxReader[P] {
+	r := &InboxReader[P]{in: in, parker: in.clock.NewParker()}
 	in.mu.Lock()
 	var rs []*simclock.Parker
 	if old := in.readers.Load(); old != nil {
@@ -213,11 +218,11 @@ func (in *Inbox[P]) NewReader() *Reader[P] {
 // eof=false — an interrupted wait, letting the caller service out-of-band
 // work (e.g. replies dispatched to it by a sibling worker) before reading
 // again.
-func (r *Reader[P]) Next() (payload P, ok, eof bool) {
+func (r *InboxReader[P]) Next() (payload P, ok, eof bool) {
 	in := r.in
 	for {
 		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
+		now := in.Elapsed()
 		if len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
 			it := in.pop()
 			in.mu.Unlock()
@@ -244,11 +249,11 @@ func (r *Reader[P]) Next() (payload P, ok, eof bool) {
 // already-deliverable payload (up to len(out)) once at least one is
 // deliverable. n == 0 with eof false is an interrupted wait (explicit
 // Wake); eof reports the inbox closed and drained.
-func (r *Reader[P]) NextBatch(out []P) (n int, eof bool) {
+func (r *InboxReader[P]) NextBatch(out []P) (n int, eof bool) {
 	in := r.in
 	for {
 		in.mu.Lock()
-		now := in.clock.Now().Sub(in.epoch)
+		now := in.Elapsed()
 		k := 0
 		for k < len(out) && len(in.heap) > 0 && in.heap[0].DeliverAt <= now {
 			out[k] = in.pop().Payload
@@ -274,7 +279,7 @@ func (r *Reader[P]) NextBatch(out []P) (n int, eof bool) {
 }
 
 // Wake interrupts this reader's blocked (or next) Next call.
-func (r *Reader[P]) Wake() {
+func (r *InboxReader[P]) Wake() {
 	r.in.clock.Unpark(r.parker)
 }
 
@@ -334,41 +339,12 @@ func (in *Inbox[P]) pop() Item[P] {
 	return top
 }
 
-// ScheduleResponse applies inbound impairments (st nil means none) to one
-// emitted response and schedules the surviving copies into the inbox,
-// accounting each outcome in stats. It reports false only when the inbox
-// is closed; an impairment-dropped response is a successful (true)
-// delivery of nothing.
-func ScheduleResponse[P any](in *Inbox[P], st *ImpairState, im *Impairments, stats *DeliveryStats, payload P, base time.Duration) bool {
-	copies := 1
-	var extra [2]time.Duration
-	if st != nil {
-		var reordered int
-		copies, extra, reordered = st.ResponseFate(im)
-		if copies == 0 {
-			stats.RepliesLost.Add(1)
-			return true
-		}
-		if copies == 2 {
-			stats.Duplicates.Add(1)
-		}
-		if reordered > 0 {
-			stats.Reordered.Add(uint64(reordered))
-		}
-	}
-	if !in.Schedule(payload, copies, base, extra) {
-		return false
-	}
-	stats.Responses.Add(uint64(copies))
-	return true
-}
-
-// StageResponse is the staging half of ScheduleResponse for batched
-// writes: it applies inbound impairments to one emitted response —
-// consuming exactly the RNG draws ScheduleResponse would, in the same
-// order — and returns the surviving Pending for a later ScheduleAll
-// commit. ok=false means the response was lost (accounted, nothing to
-// stage).
+// StageResponse applies inbound impairments (st nil means none) to one
+// emitted response, accounting each outcome in stats, and returns the
+// surviving Pending for the caller to commit — at once through Schedule,
+// or with the rest of a write batch through ScheduleAllResponses; the RNG
+// draws are the same either way. ok=false means the response was lost
+// (accounted, nothing to commit).
 func StageResponse[P any](st *ImpairState, im *Impairments, stats *DeliveryStats, payload P, base time.Duration) (Pending[P], bool) {
 	p := Pending[P]{Payload: payload, Copies: 1, Base: base}
 	if st != nil {

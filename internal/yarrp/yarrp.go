@@ -189,7 +189,7 @@ func (s *Scanner) Run() (*Result, error) {
 	go func() {
 		defer close(recvDone)
 		defer s.clock.DoneActor()
-		s.receiveLoop()
+		s.receive()
 	}()
 
 	ttlRange := uint64(s.cfg.MaxTTL-s.cfg.MinTTL) + 1
@@ -279,11 +279,11 @@ func (s *Scanner) pace() {
 	}
 }
 
-// receiveLoop decodes responses statelessly from the quoted headers. In
+// receive decodes responses statelessly from the quoted headers. In
 // fill mode, a TTL-exceeded response from the farthest probed hop triggers
 // the probe for the next hop — this receive-driven chaining is exactly
 // what gives Yarrp its inherent gap limit of one (§4.2.1).
-func (s *Scanner) receiveLoop() {
+func (s *Scanner) receive() {
 	var buf [4096]byte
 	var fillBuf [probe.MTU]byte
 	for {
@@ -294,11 +294,11 @@ func (s *Scanner) receiveLoop() {
 			}
 			return
 		}
-		s.handleResponse(buf[:n], fillBuf[:])
+		s.handlePacket(buf[:n], fillBuf[:])
 	}
 }
 
-func (s *Scanner) handleResponse(pkt []byte, fillBuf []byte) {
+func (s *Scanner) handlePacket(pkt []byte, fillBuf []byte) {
 	var outer probe.IPv4
 	if err := outer.Unmarshal(pkt); err != nil {
 		s.unparsed.Add(1)

@@ -166,7 +166,7 @@ func (s *Scanner) Run() (*Result, error) {
 	go func() {
 		defer close(recvDone)
 		defer s.clock.DoneActor()
-		s.receiveLoop()
+		s.receive()
 	}()
 
 	ttlRange := uint64(s.cfg.MaxTTL-s.cfg.MinTTL) + 1
@@ -211,7 +211,7 @@ func (s *Scanner) sendProbe(dst probe6.Addr, ttl uint8, fill bool) {
 	}
 }
 
-func (s *Scanner) receiveLoop() {
+func (s *Scanner) receive() {
 	var buf [4096]byte
 	var fillBuf [probe6.HeaderLen + probe6.UDPHeaderLen + 64]byte
 	for {

@@ -111,21 +111,15 @@ type Config6 struct {
 	GapLimit uint8
 	PPS      int
 
-	// Senders is the number of sending goroutines sharing the PPS budget
-	// (same engine knob as Config.Senders); 0 and 1 both mean the
-	// deterministic single-sender configuration.
-	Senders int
-
-	// Receivers is the number of reply-processing workers (same engine
-	// knob as Config.Receivers); 0 and 1 both mean the classic inline
-	// receiver. Simulation-backed scans wire the per-worker read handles
-	// automatically.
+	// Senders, Receivers and Batch size the engine's one data path exactly
+	// as the Config fields of the same names do: sending goroutines
+	// sharing the PPS budget (0 means 1, the deterministic configuration),
+	// workers in the receive pipeline (0 means 1; simulation-backed scans
+	// wire the per-worker read handles automatically), and packets per
+	// transport call (0 means 1).
+	Senders   int
 	Receivers int
-
-	// Batch is the maximum number of packets per transport call on both
-	// data paths (same engine knob as Config.Batch); 0 and 1 both mean
-	// one packet per call.
-	Batch int
+	Batch     int
 
 	// PreprobeRetries and ForwardRetries enable the engine's loss
 	// tolerance for IPv6 scans exactly as for IPv4: extra preprobe passes
