@@ -612,6 +612,7 @@ func printFootprint(blocks int) {
 	fmt.Printf("  DCB array:       %s\n", fmtBytes(fp.DCBBytes))
 	fmt.Printf("  per-DCB locks:   %s\n", fmtBytes(fp.LockBytes))
 	fmt.Printf("  side arrays:     %s\n", fmtBytes(fp.SideBytes))
+	fmt.Printf("  stop set:        %s\n", fmtBytes(fp.StopSetBytes))
 	fmt.Printf("result store:      %s  (routes collected; every block responding)\n",
 		fmtBytes(fp.ResultBytes))
 	fmt.Printf("total:             %s\n", fmtBytes(fp.Total()))

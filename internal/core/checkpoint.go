@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -202,9 +203,12 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool) []byte {
 		w.U8(d.fwRetries)
 	}
 
-	// Stop set, sorted for deterministic bytes.
+	// Stop set, sorted for deterministic bytes; empty for a scan that
+	// keeps none.
 	var stops []A
-	s.stopSet.ForEach(func(a A) { stops = append(stops, a) })
+	if s.stopSet != nil {
+		s.stopSet.ForEach(func(a A) { stops = append(stops, a) })
+	}
 	sort.Slice(stops, func(i, j int) bool { return s.fam.AddrLess(stops[i], stops[j]) })
 	w.U32(uint32(len(stops)))
 	for _, a := range stops {
@@ -237,15 +241,12 @@ func (s *ScannerOf[A]) encodeCheckpoint(final, complete bool) []byte {
 		}
 	}
 	trace.UnionOf(stores).ForEachRouteSorted(emit)
-	ifaces := make(map[A]struct{})
+	var ifs []A // the stripes' sets overlap: sort, then drop the repeats
 	for _, st := range stores {
-		st.Interfaces().ForEach(func(a A) { ifaces[a] = struct{}{} })
-	}
-	ifs := make([]A, 0, len(ifaces))
-	for a := range ifaces {
-		ifs = append(ifs, a)
+		st.Interfaces().ForEach(func(a A) { ifs = append(ifs, a) })
 	}
 	sort.Slice(ifs, func(i, j int) bool { return s.fam.AddrLess(ifs[i], ifs[j]) })
+	ifs = slices.Compact(ifs)
 	w.U32(uint32(len(ifs)))
 	for _, a := range ifs {
 		putAddr(w, a)
@@ -430,7 +431,7 @@ func (s *ScannerOf[A]) restore(data []byte) error {
 		s.dcbs[entries[i].block] = entries[i].d
 	}
 	for _, a := range stops {
-		s.stopSet.Add(a)
+		s.addStop(a) // an older snapshot's entries are dropped if this scan keeps no set
 	}
 	nw := len(s.recvWorkers)
 	for _, rt := range routes {

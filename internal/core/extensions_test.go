@@ -34,6 +34,11 @@ func TestFootprintAccounting(t *testing.T) {
 	if full24.LockBytes != 8<<24 {
 		t.Fatalf("lock accounting wrong: %d", full24.LockBytes)
 	}
+	// The stop set is control state too: one 4-byte slot per entry at the
+	// engine's one-entry-per-eight-blocks sizing, 2^22 slots here.
+	if full24.StopSetBytes != 16<<20 {
+		t.Fatalf("stop-set accounting wrong: %d", full24.StopSetBytes)
+	}
 
 	// The result-store estimate — the side the paper leaves implicit —
 	// must be priced too: collected routes for the full /24 universe cost
@@ -66,7 +71,8 @@ func TestScannerFootprintMatchesEstimate(t *testing.T) {
 	}
 	got, want := sc.Footprint(), EstimateFootprint(4096)
 	if got.Blocks != want.Blocks || got.DCBBytes != want.DCBBytes ||
-		got.LockBytes != want.LockBytes || got.SideBytes != want.SideBytes {
+		got.LockBytes != want.LockBytes || got.SideBytes != want.SideBytes ||
+		got.StopSetBytes != want.StopSetBytes {
 		t.Fatalf("control footprint %+v want %+v", got, want)
 	}
 	if got.ResultBytes == 0 {

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"unsafe"
+
+	"github.com/flashroute/flashroute/internal/trace"
 )
 
 // lockBytes is the per-DCB lock cost: one sync.Mutex.
@@ -24,9 +26,13 @@ type Footprint struct {
 	// SideBytes covers the split-TTL, measured/predicted-distance and
 	// permutation-order arrays.
 	SideBytes uint64
+	// StopSetBytes is the engine's own stop set: the shards' open-addressed
+	// tables. Zero for a scan that keeps none (NoRedundancyElimination)
+	// or uses an injected one, which accounts for itself.
+	StopSetBytes uint64
 	// ResultBytes is the slab-backed result store: route records and the
-	// block-slot array, the hop slab (when routes are collected), and the
-	// open-addressed interface table. For a live scanner this is the
+	// block-slot array, hop chains and the hop slab (when routes are
+	// collected), and the open-addressed interface table. For a live scanner this is the
 	// store's actual allocation; for EstimateFootprint it assumes every
 	// block responds with hops out to the expected route length.
 	ResultBytes uint64
@@ -34,21 +40,28 @@ type Footprint struct {
 
 // Total returns the summed footprint in bytes.
 func (f Footprint) Total() uint64 {
-	return f.DCBBytes + f.LockBytes + f.SideBytes + f.ResultBytes
+	return f.DCBBytes + f.LockBytes + f.SideBytes + f.StopSetBytes + f.ResultBytes
 }
 
 // Result-store sizing model for EstimateFootprint, mirroring the slab
-// layout in internal/trace: a fixed-size route record plus the 4-byte
-// slot entry per block, estHopsPerRoute slab hops per responding route
-// (paper Table 3 puts the mean route length near 16; slab hops cost
-// addr+rtt+link+ttl), and an interface-table slot for every two blocks
-// (the empirical interface-per-block ratio the engine also uses for its
-// pre-sizing) at a 4/3 open-addressing load factor.
+// layout in internal/trace: a fixed-size route record, its hop chain and
+// the 4-byte slot entry per block, estHopsPerRoute slab hops per
+// responding route (paper Table 3 puts the mean route length near 16;
+// slab hops cost addr+rtt+link+ttl), and the interface table at the
+// engine's own pre-sizing (entriesHint).
 const (
 	estHopsPerRoute = 16
-	estRecBytes     = 20 // dst(4) + head/tail/nhops(12) + length/reached + pad
-	estHopBytes     = 17 // addr(4) + rtt(8) + next(4) + ttl(1), v4 slab
+	estRecBytes     = 8 + 12 // dst(4) + length/reached + pad; head/tail/nhops when routes are collected
+	estHopBytes     = 17     // addr(4) + rtt(8) + next(4) + ttl(1), v4 slab
 )
+
+// entriesHint is the engine's pre-sizing for its two address sets, the
+// stop set and the interface table: one entry per eight blocks. A finished
+// scan holds 0.09–0.12 entries per block in either on every FlashRoute-16
+// benchmark workload and 0.26 on dense-exhaustive, whose interface table
+// then doubles once; the tables grow on demand, so an underestimate costs
+// a rehash, not correctness.
+func entriesHint(blocks int) int { return blocks / 8 }
 
 // EstimateFootprint computes the IPv4 footprint for a universe of the
 // given size without allocating it. Routes are assumed collected
@@ -57,42 +70,37 @@ const (
 func EstimateFootprint(blocks int) Footprint {
 	var d dcb
 	b := uint64(blocks)
-	ifaceSlots := uint64(tableSizeForEstimate(blocks / 2))
+	tableBytes := uint64(trace.TableSizeFor(entriesHint(blocks))) * 4
 	return Footprint{
 		Blocks:    blocks,
 		DCBBytes:  b * uint64(unsafe.Sizeof(d)),
 		LockBytes: b * lockBytes,
 		// splits + measured + predicted (1 B each) + order (4 B).
-		SideBytes:   b * (3 + 4),
-		ResultBytes: b*(estRecBytes+4) + b*estHopsPerRoute*estHopBytes + ifaceSlots*4,
+		SideBytes:    b * (3 + 4),
+		StopSetBytes: tableBytes,
+		ResultBytes:  b*(estRecBytes+4) + b*estHopsPerRoute*estHopBytes + tableBytes,
 	}
-}
-
-// tableSizeForEstimate mirrors the interface table's power-of-two growth
-// under its 3/4 load-factor bound.
-func tableSizeForEstimate(n int) int {
-	size := 16
-	for size*3 < n*4 {
-		size <<= 1
-	}
-	return size
 }
 
 // Footprint reports the scanner's own accounting, sized for the
 // instantiated address family's DCB layout. ResultBytes is the result
 // store's live allocation (slab chunks, record array, slot array,
-// interface table) at the time of the call.
+// interface table) at the time of the call, StopSetBytes likewise.
 func (s *ScannerOf[A]) Footprint() Footprint {
 	var d dcbOf[A]
-	var result uint64
+	var result, stop uint64
 	for _, rw := range s.recvWorkers {
 		result += rw.store.MemoryBytes()
 	}
+	if ss, ok := s.stopSet.(*stopSetOf[A]); ok {
+		stop = ss.memoryBytes()
+	}
 	return Footprint{
-		Blocks:      s.cfg.Blocks,
-		DCBBytes:    uint64(s.cfg.Blocks) * uint64(unsafe.Sizeof(d)),
-		LockBytes:   uint64(s.cfg.Blocks) * lockBytes,
-		SideBytes:   uint64(s.cfg.Blocks) * (3 + 4),
-		ResultBytes: result,
+		Blocks:       s.cfg.Blocks,
+		DCBBytes:     uint64(s.cfg.Blocks) * uint64(unsafe.Sizeof(d)),
+		LockBytes:    uint64(s.cfg.Blocks) * lockBytes,
+		SideBytes:    uint64(s.cfg.Blocks) * (3 + 4),
+		StopSetBytes: stop,
+		ResultBytes:  result,
 	}
 }

@@ -28,10 +28,11 @@ import (
 // recvEOF increment, a drain performed after observing recvEOF == R is
 // guaranteed to see the final contents of the ring.
 
-// stopSetOf is the engine's Doubletree stop set (§3.2), sharded by
-// address hash so R receive workers can insert concurrently. A single
-// shard has a single user (the lone receive worker), so its locking is
-// elided.
+// stopSetOf is the engine's Doubletree stop set (§3.2): open-addressed
+// tables (the result store's interface-table type, 4 B/slot for IPv4),
+// sharded by address hash so R receive workers can insert concurrently.
+// A single shard has a single user (the lone receive worker), so its
+// locking is elided.
 type stopSetOf[A comparable] struct {
 	fam    Family[A]
 	shards []stopShard[A]
@@ -39,49 +40,53 @@ type stopSetOf[A comparable] struct {
 
 type stopShard[A comparable] struct {
 	mu sync.RWMutex
-	m  map[A]struct{}
+	t  trace.InterfaceTableOf[A]
 }
 
-// newStopSet builds a stop set with the given shard count; hint pre-sizes
-// the membership maps for roughly one interface per universe block.
+// newStopSet builds a stop set with the given shard count, pre-sized for
+// hint entries in total; the tables grow on demand past that.
 func newStopSet[A comparable](fam Family[A], shards, hint int) *stopSetOf[A] {
 	if shards < 1 {
 		shards = 1
 	}
 	ss := &stopSetOf[A]{fam: fam, shards: make([]stopShard[A], shards)}
 	for i := range ss.shards {
-		ss.shards[i].m = make(map[A]struct{}, hint/shards)
+		ss.shards[i].t = trace.NewInterfaceTableOf(fam.HashAddr, hint/shards)
 	}
 	return ss
 }
 
-func (ss *stopSetOf[A]) shardOf(a A) *stopShard[A] {
-	return &ss.shards[ss.fam.HashAddr(a)%uint64(len(ss.shards))]
+// shardOf picks the home shard from the high bits of an address hash; the
+// shard's table masks the low ones. Picking on the low bits too would
+// leave each shard of a 2-shard set only the slots of one parity.
+func (ss *stopSetOf[A]) shardOf(h uint64) *stopShard[A] {
+	return &ss.shards[(h>>32)%uint64(len(ss.shards))]
 }
 
 // Has reports membership. Reads dominate (one per TTL-exceeded reply), so
 // sharded mode takes only the read side of the shard lock.
 func (ss *stopSetOf[A]) Has(a A) bool {
+	h := ss.fam.HashAddr(a)
 	if len(ss.shards) == 1 {
-		_, ok := ss.shards[0].m[a]
-		return ok
+		return ss.shards[0].t.HasHashed(a, h)
 	}
-	sh := ss.shardOf(a)
+	sh := ss.shardOf(h)
 	sh.mu.RLock()
-	_, ok := sh.m[a]
+	ok := sh.t.HasHashed(a, h)
 	sh.mu.RUnlock()
 	return ok
 }
 
 // Add inserts a into its home shard.
 func (ss *stopSetOf[A]) Add(a A) {
+	h := ss.fam.HashAddr(a)
 	if len(ss.shards) == 1 {
-		ss.shards[0].m[a] = struct{}{}
+		ss.shards[0].t.AddHashed(a, h)
 		return
 	}
-	sh := ss.shardOf(a)
+	sh := ss.shardOf(h)
 	sh.mu.Lock()
-	sh.m[a] = struct{}{}
+	sh.t.AddHashed(a, h)
 	sh.mu.Unlock()
 }
 
@@ -92,9 +97,7 @@ func (ss *stopSetOf[A]) ForEach(fn func(A)) {
 	for i := range ss.shards {
 		sh := &ss.shards[i]
 		sh.mu.RLock()
-		for a := range sh.m {
-			fn(a)
-		}
+		sh.t.ForEach(fn)
 		sh.mu.RUnlock()
 	}
 }
@@ -105,7 +108,19 @@ func (ss *stopSetOf[A]) Size() int {
 	for i := range ss.shards {
 		sh := &ss.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += sh.t.Len()
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// memoryBytes sums the shard tables' backing arrays (Footprint).
+func (ss *stopSetOf[A]) memoryBytes() uint64 {
+	var n uint64
+	for i := range ss.shards {
+		sh := &ss.shards[i]
+		sh.mu.RLock()
+		n += sh.t.MemoryBytes()
 		sh.mu.RUnlock()
 	}
 	return n

@@ -99,7 +99,8 @@ type ScannerOf[A comparable] struct {
 	// terminates upon encountering one (§3.2). The default is the local
 	// implementation (receive.go), sharded Receivers ways by address
 	// hash. Config.StopSet substitutes a custom implementation (the
-	// cluster's globally shared set).
+	// cluster's globally shared set). Nil under NoRedundancyElimination,
+	// where nothing reads it.
 	stopSet StopSet[A]
 
 	distMu   sync.Mutex
@@ -287,13 +288,13 @@ func NewScannerOf[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn,
 	if cfg.Receivers > 1 && cfg.NewReader == nil {
 		return nil, errors.New("core: Receivers > 1 requires Config.NewReader")
 	}
-	// Store pre-sizing: one route record slot per block and, empirically,
-	// around one interface per two blocks for the open-addressed set; the
-	// stop set additionally holds reached destinations.
-	ifaceHint := cfg.Blocks / 2
+	// With redundancy elimination off, the only reader of the stop set's
+	// answer is the branch that flag disables: keep none, injected or not.
 	stopSet := cfg.StopSet
-	if stopSet == nil {
-		stopSet = newStopSet(fam, cfg.Receivers, cfg.Blocks)
+	if cfg.NoRedundancyElimination {
+		stopSet = nil
+	} else if stopSet == nil {
+		stopSet = newStopSet(fam, cfg.Receivers, entriesHint(cfg.Blocks))
 	}
 	s := &ScannerOf[A]{
 		cfg:         cfg,
@@ -306,7 +307,7 @@ func NewScannerOf[A comparable](fam Family[A], cfg ConfigOf[A], conn PacketConn,
 		stopSet:     stopSet,
 		phaseParker: clock.NewParker(),
 		striped: trace.NewStripedStoreOf[A](cfg.Receivers, cfg.CollectRoutes,
-			fam.FormatAddr, fam.AddrLess, fam.HashAddr, cfg.Blocks, ifaceHint),
+			fam.FormatAddr, fam.AddrLess, fam.HashAddr, cfg.Blocks, entriesHint(cfg.Blocks)),
 	}
 	if cfg.CheckpointSink != nil {
 		s.ckpt = &ckptState{
@@ -1054,7 +1055,7 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 			return
 		}
 		d.respSeen |= bit
-		seen := s.stopSet.Has(r.Hop)
+		seen := s.stopSet != nil && s.stopSet.Has(r.Hop)
 		if r.InitTTL > d.routeLen && d.flags&dcbForwardDone == 0 {
 			d.routeLen = r.InitTTL
 		}
@@ -1063,7 +1064,7 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 			// on route convergence with the stop set (§3.2, §3.4).
 			if r.InitTTL == 1 {
 				d.nextBackward = 0
-			} else if seen && !s.cfg.NoRedundancyElimination {
+			} else if seen {
 				d.nextBackward = 0
 				// Mark the termination as a stop-set decision: checkpoint
 				// resume must not rewind past it (TTL-1 terminations need
@@ -1083,7 +1084,7 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 		}
 		s.locks[block].Unlock()
 		store.AddHopAt(slot, r.Dst, r.InitTTL, r.Hop, r.RTT)
-		s.stopSet.Add(r.Hop)
+		s.addStop(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.HopDiscovered(r.Dst, r.InitTTL, r.Hop)
 		}
@@ -1096,7 +1097,7 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 		// Probes past the destination legitimately elicit one unreachable
 		// each, so repeats are not necessarily network duplicates.
 		store.SetReachedAt(slot, r.Dst, r.Dist, r.Hop, r.RTT)
-		s.stopSet.Add(r.Hop)
+		s.addStop(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.DestReached(r.Dst, r.Dist)
 		}
@@ -1117,7 +1118,7 @@ func (s *ScannerOf[A]) processReply(store *trace.StoreOf[A], block int, r *Reply
 func (s *ScannerOf[A]) handlePreprobeResponse(store *trace.StoreOf[A], block, slot int, r *Reply[A]) {
 	if r.Kind == ReplyUnreachable {
 		store.SetReachedAt(slot, r.Dst, r.Dist, r.Hop, r.RTT)
-		s.stopSet.Add(r.Hop)
+		s.addStop(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.DestReached(r.Dst, r.Dist)
 		}
@@ -1144,13 +1145,17 @@ func (s *ScannerOf[A]) handlePreprobeResponse(store *trace.StoreOf[A], block, sl
 			return
 		}
 		store.AddHopAt(slot, r.Dst, r.InitTTL, r.Hop, r.RTT)
-		s.stopSet.Add(r.Hop)
+		s.addStop(r.Hop)
 		if sink := s.cfg.TraceSink; sink != nil {
 			sink.HopDiscovered(r.Dst, r.InitTTL, r.Hop)
 		}
 	}
 }
 
-// StopSetSize reports the number of interfaces in the stop set (after the
-// scan; used by tests and the discovery-mode analysis).
-func (s *ScannerOf[A]) StopSetSize() int { return s.stopSet.Size() }
+// addStop inserts a discovered address into the stop set, if the scan
+// keeps one.
+func (s *ScannerOf[A]) addStop(a A) {
+	if s.stopSet != nil {
+		s.stopSet.Add(a)
+	}
+}

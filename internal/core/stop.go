@@ -28,9 +28,10 @@ type StopSet[A comparable] interface {
 }
 
 // NewLocalStopSet builds the engine's default in-process stop set:
-// sharded `shards` ways by Family.HashAddr (lock-free at one shard),
-// pre-sized for roughly one interface per universe block (hint). This is
-// exactly the instantiation the engine uses when Config.StopSet is nil,
+// open-addressed tables sharded `shards` ways by the high bits of
+// Family.HashAddr (lock-free at one shard), pre-sized for hint entries in
+// total and growing on demand. This is the type the engine builds when
+// Config.StopSet is nil (with a hint of one entry per eight blocks),
 // exported so wrappers (the cluster's worker set) can embed it as their
 // local tier.
 func NewLocalStopSet[A comparable](fam Family[A], shards, hint int) StopSet[A] {

@@ -60,8 +60,9 @@ func memHashOf[A comparable]() func(A) uint64 {
 // destinations but is inserted once). The zero address is kept out of
 // band (hasZero) so the zero value of A can mark empty slots.
 //
-// It is written by a single goroutine and read after the scan, like the
-// store that owns it.
+// It is not safe for concurrent use: the store that owns one is written
+// by a single goroutine and read after the scan, and the engine's stop
+// set (the other user) guards each of its tables with a shard lock.
 type InterfaceTableOf[A comparable] struct {
 	keys    []A // len is a power of two; zero value = empty slot
 	n       int // occupied slots (excluding the out-of-band zero)
@@ -69,17 +70,19 @@ type InterfaceTableOf[A comparable] struct {
 	hash    func(A) uint64
 }
 
-func newInterfaceTable[A comparable](hash func(A) uint64, hint int) InterfaceTableOf[A] {
+// NewInterfaceTableOf returns a table hashing with hash, pre-sized to
+// hold hint entries without growing (0 = allocate on first insert).
+func NewInterfaceTableOf[A comparable](hash func(A) uint64, hint int) InterfaceTableOf[A] {
 	t := InterfaceTableOf[A]{hash: hash}
 	if hint > 0 {
-		t.keys = make([]A, tableSizeFor(hint))
+		t.keys = make([]A, TableSizeFor(hint))
 	}
 	return t
 }
 
-// tableSizeFor returns the power-of-two table length that holds n
+// TableSizeFor returns the power-of-two table length that holds n
 // entries under the 3/4 load-factor bound.
-func tableSizeFor(n int) int {
+func TableSizeFor(n int) int {
 	size := 16
 	for size*3 < n*4 {
 		size <<= 1
@@ -88,7 +91,11 @@ func tableSizeFor(n int) int {
 }
 
 // Add inserts addr and reports whether it was newly added.
-func (t *InterfaceTableOf[A]) Add(addr A) bool {
+func (t *InterfaceTableOf[A]) Add(addr A) bool { return t.AddHashed(addr, t.hash(addr)) }
+
+// AddHashed is Add for a caller that already computed h = hash(addr) (the
+// stop set picks its shard from the same hash).
+func (t *InterfaceTableOf[A]) AddHashed(addr A, h uint64) bool {
 	var zero A
 	if addr == zero {
 		if t.hasZero {
@@ -101,7 +108,7 @@ func (t *InterfaceTableOf[A]) Add(addr A) bool {
 		t.grow()
 	}
 	mask := uint64(len(t.keys) - 1)
-	i := t.hash(addr) & mask
+	i := h & mask
 	for {
 		k := t.keys[i]
 		if k == addr {
@@ -117,7 +124,10 @@ func (t *InterfaceTableOf[A]) Add(addr A) bool {
 }
 
 // Has reports membership.
-func (t *InterfaceTableOf[A]) Has(addr A) bool {
+func (t *InterfaceTableOf[A]) Has(addr A) bool { return t.HasHashed(addr, t.hash(addr)) }
+
+// HasHashed is Has given h = hash(addr) (see AddHashed).
+func (t *InterfaceTableOf[A]) HasHashed(addr A, h uint64) bool {
 	var zero A
 	if addr == zero {
 		return t.hasZero
@@ -126,7 +136,7 @@ func (t *InterfaceTableOf[A]) Has(addr A) bool {
 		return false
 	}
 	mask := uint64(len(t.keys) - 1)
-	i := t.hash(addr) & mask
+	i := h & mask
 	for {
 		k := t.keys[i]
 		if k == addr {
@@ -173,7 +183,7 @@ func (t *InterfaceTableOf[A]) ForEach(fn func(A)) {
 
 // Reserve grows the table to hold n entries without further rehashing.
 func (t *InterfaceTableOf[A]) Reserve(n int) {
-	if size := tableSizeFor(n); size > len(t.keys) {
+	if size := TableSizeFor(n); size > len(t.keys) {
 		t.rehash(size)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestRouteDoubleCallStable pins the fix for the in-place-sort bug: the
@@ -55,14 +56,42 @@ func hashU32(a uint32) uint64 {
 	return z
 }
 
+// TestRouteRecSize pins the split record: the per-block cost of a scan
+// that collects no routes is the 8-byte (IPv4) or 18-byte (IPv6) record;
+// the chain links are paid only with the hop slab.
+func TestRouteRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(routeRec[uint32]{}); n != 8 {
+		t.Errorf("IPv4 routeRec is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(routeRec[[16]byte]{}); n != 18 {
+		t.Errorf("IPv6 routeRec is %d bytes, want 18", n)
+	}
+	if n := unsafe.Sizeof(hopChain{}); n != 12 {
+		t.Errorf("hopChain is %d bytes, want 12", n)
+	}
+	st := NewSlotStoreOf[uint32](false, nil, nil, hashU32, 1024, 0)
+	st.AddHopAt(3, 100, 5, 0xA, time.Millisecond)
+	if st.chains != nil || st.hops.n != 0 {
+		t.Errorf("store without routes keeps %d chains and %d hops", len(st.chains), st.hops.n)
+	}
+	if got := st.MemoryBytes(); got != 1024*(8+4)+16*4 {
+		t.Errorf("MemoryBytes %d, want records + slots + a 16-slot interface table", got)
+	}
+}
+
 // TestHotPathZeroAllocs pins the tentpole's allocation contract: within
 // reserved capacity, the engine-facing write path — AddHopAt,
-// SetReachedAt, and interface-table hits — allocates nothing. A
-// regression here puts the allocator back on the receive path at
-// Table 5 rates.
+// SetReachedAt, and interface-table hits — allocates nothing, with and
+// without route collection. A regression here puts the allocator back on
+// the receive path at Table 5 rates.
 func TestHotPathZeroAllocs(t *testing.T) {
+	hotPathZeroAllocs(t, true)
+	hotPathZeroAllocs(t, false)
+}
+
+func hotPathZeroAllocs(t *testing.T, collectRoutes bool) {
 	const slots = 1024
-	st := NewSlotStoreOf[uint32](true, func(uint32) string { return "" },
+	st := NewSlotStoreOf[uint32](collectRoutes, func(uint32) string { return "" },
 		func(a, b uint32) bool { return a < b }, hashU32, slots, 0)
 	st.Reserve(slots, 1<<16, 1<<16)
 
@@ -73,7 +102,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("AddHopAt: %v allocs/op, want 0", allocs)
+		t.Fatalf("collect=%v AddHopAt: %v allocs/op, want 0", collectRoutes, allocs)
 	}
 
 	allocs = testing.AllocsPerRun(1000, func() {
@@ -82,7 +111,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("SetReachedAt: %v allocs/op, want 0", allocs)
+		t.Fatalf("collect=%v SetReachedAt: %v allocs/op, want 0", collectRoutes, allocs)
 	}
 
 	ifaces := st.Interfaces()
@@ -90,7 +119,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		ifaces.Add(0x0a000001) // already present: a pure probe hit
 	})
 	if allocs != 0 {
-		t.Fatalf("interface-set hit: %v allocs/op, want 0", allocs)
+		t.Fatalf("collect=%v interface-set hit: %v allocs/op, want 0", collectRoutes, allocs)
 	}
 }
 

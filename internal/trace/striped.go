@@ -58,7 +58,7 @@ func (st *StripedStoreOf[A]) Union() *StoreOf[A] {
 	for _, s := range st.stripes {
 		total += s.ifaces.Len()
 	}
-	out.ifaces = newInterfaceTable[A](st.hash, total)
+	out.ifaces = NewInterfaceTableOf[A](st.hash, total)
 	for _, s := range st.stripes {
 		s.ifaces.ForEach(func(a A) { out.ifaces.Add(a) })
 	}

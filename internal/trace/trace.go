@@ -66,15 +66,20 @@ type (
 	Store        = StoreOf[uint32]
 )
 
-// routeRec is the in-store route record: fixed size, no slice header.
-// Hops chain through the slab from head; tail makes append O(1).
+// routeRec is the in-store route record: fixed size, no slice header
+// (8 bytes for IPv4, 18 for IPv6).
 type routeRec[A comparable] struct {
 	dst     A
-	head    int32 // first hop slab index, -1 = none
-	tail    int32 // last hop slab index, -1 = none
-	nhops   int32
 	length  uint8
 	reached bool
+}
+
+// hopChain links record i's hops through the slab from head; tail makes
+// append O(1). Chains exist only when routes are collected, like the slab.
+type hopChain struct {
+	head  int32 // first hop slab index, -1 = none
+	tail  int32 // last hop slab index, -1 = none
+	nhops int32
 }
 
 // StoreOf accumulates scan results. It is written by a single receiver
@@ -91,6 +96,7 @@ type routeRec[A comparable] struct {
 // be written through both paths.
 type StoreOf[A comparable] struct {
 	recs   []routeRec[A]
+	chains []hopChain  // parallel to recs; nil unless collectRoutes
 	slots  []int32     // slot → record index+1; nil in map mode
 	index  map[A]int32 // dst → record index+1; nil until needed in slot mode
 	hops   hopSlab[A]
@@ -124,14 +130,15 @@ func NewStoreOf[A comparable](collectRoutes bool, format func(A) string, less fu
 // incremental growth on the receive path. Hints are advisory; 0 means no
 // hint.
 func NewStoreOfSized[A comparable](collectRoutes bool, format func(A) string, less func(A, A) bool, routeHint, ifaceHint int) *StoreOf[A] {
-	return &StoreOf[A]{
-		recs:          make([]routeRec[A], 0, routeHint),
+	st := &StoreOf[A]{
 		index:         make(map[A]int32, routeHint),
-		ifaces:        newInterfaceTable[A](memHashOf[A](), ifaceHint),
+		ifaces:        NewInterfaceTableOf[A](memHashOf[A](), ifaceHint),
 		collectRoutes: collectRoutes,
 		format:        format,
 		less:          less,
 	}
+	st.reserveRoutes(routeHint)
+	return st
 }
 
 // NewSlotStoreOf returns a slot-mode store with slots block slots: the
@@ -139,14 +146,15 @@ func NewStoreOfSized[A comparable](collectRoutes bool, format func(A) string, le
 // slot it already computed for the reply. hash feeds the interface
 // table (the family's address hash).
 func NewSlotStoreOf[A comparable](collectRoutes bool, format func(A) string, less func(A, A) bool, hash func(A) uint64, slots, ifaceHint int) *StoreOf[A] {
-	return &StoreOf[A]{
-		recs:          make([]routeRec[A], 0, slots),
+	st := &StoreOf[A]{
 		slots:         make([]int32, slots),
-		ifaces:        newInterfaceTable[A](hash, ifaceHint),
+		ifaces:        NewInterfaceTableOf[A](hash, ifaceHint),
 		collectRoutes: collectRoutes,
 		format:        format,
 		less:          less,
 	}
+	st.reserveRoutes(slots)
+	return st
 }
 
 // NewStore returns an IPv4 map-mode store.
@@ -158,8 +166,24 @@ func NewStore(collectRoutes bool) *Store {
 // newRec appends a fresh record for dst and returns its index.
 func (st *StoreOf[A]) newRec(dst A) int32 {
 	ri := int32(len(st.recs))
-	st.recs = append(st.recs, routeRec[A]{dst: dst, head: -1, tail: -1})
+	st.recs = append(st.recs, routeRec[A]{dst: dst})
+	if st.collectRoutes {
+		st.chains = append(st.chains, hopChain{head: -1, tail: -1})
+	}
 	return ri
+}
+
+// appendHop chains one hop onto record ri. Callers check collectRoutes.
+func (st *StoreOf[A]) appendHop(ri int32, ttl uint8, addr A, rtt time.Duration) {
+	h := st.hops.append(ttl, addr, rtt)
+	c := &st.chains[ri]
+	if c.tail >= 0 {
+		st.hops.setNext(c.tail, h)
+	} else {
+		c.head = h
+	}
+	c.tail = h
+	c.nhops++
 }
 
 // recAt returns the record index for (slot, dst), creating it on first
@@ -223,14 +247,7 @@ func (st *StoreOf[A]) addHop(ri int32, ttl uint8, addr A, rtt time.Duration) boo
 		r.length = ttl
 	}
 	if st.collectRoutes {
-		h := st.hops.append(ttl, addr, rtt)
-		if r.tail >= 0 {
-			st.hops.setNext(r.tail, h)
-		} else {
-			r.head = h
-		}
-		r.tail = h
-		r.nhops++
+		st.appendHop(ri, ttl, addr, rtt)
 	}
 	return isNew
 }
@@ -265,14 +282,7 @@ func (st *StoreOf[A]) setReached(ri int32, ttl uint8, addr A, rtt time.Duration)
 	// Probes beyond the destination's distance all reach it and answer;
 	// record the destination hop once.
 	if st.collectRoutes && ttl > 0 && !wasReached {
-		h := st.hops.append(ttl, addr, rtt)
-		if r.tail >= 0 {
-			st.hops.setNext(r.tail, h)
-		} else {
-			r.head = h
-		}
-		r.tail = h
-		r.nhops++
+		st.appendHop(ri, ttl, addr, rtt)
 	}
 }
 
@@ -300,21 +310,18 @@ func (st *StoreOf[A]) Interfaces() *InterfaceTableOf[A] { return &st.ifaces }
 // route bookkeeping (checkpoint-resume path).
 func (st *StoreOf[A]) AddInterface(a A) { st.ifaces.Add(a) }
 
-// restoreInto resets record ri and installs r's contents.
+// restoreInto resets record ri and installs r's contents; like addHop, it
+// keeps the hops only when routes are collected.
 func (st *StoreOf[A]) restoreInto(ri int32, r *RouteOf[A]) {
 	rec := &st.recs[ri]
-	rec.head, rec.tail, rec.nhops = -1, -1, 0
 	rec.reached = r.Reached
 	rec.length = r.Length
+	if !st.collectRoutes {
+		return
+	}
+	st.chains[ri] = hopChain{head: -1, tail: -1}
 	for _, h := range r.Hops {
-		hi := st.hops.append(h.TTL, h.Addr, h.RTT)
-		if rec.tail >= 0 {
-			st.hops.setNext(rec.tail, hi)
-		} else {
-			rec.head = hi
-		}
-		rec.tail = hi
-		rec.nhops++
+		st.appendHop(ri, h.TTL, h.Addr, h.RTT)
 	}
 }
 
@@ -347,7 +354,10 @@ func (st *StoreOf[A]) materializeInto(ri int32, out *RouteOf[A]) {
 	out.Reached = rec.reached
 	out.Length = rec.length
 	out.Hops = out.Hops[:0]
-	for h := rec.head; h >= 0; {
+	if !st.collectRoutes {
+		return
+	}
+	for h := st.chains[ri].head; h >= 0; {
 		ttl, addr, rtt, next := st.hops.at(h)
 		out.Hops = append(out.Hops, HopOf[A]{TTL: ttl, Addr: addr, RTT: rtt})
 		h = next
@@ -497,7 +507,7 @@ func (r *RouteOf[A]) HopAt(ttl uint8) (A, bool) {
 }
 
 // MemoryBytes returns the store's result-state footprint: route records,
-// slot array, hop slab, interface table, and the dst index if built. A
+// hop chains, slot array, hop slab, interface table, and the dst index if built. A
 // union store reports the sum over its stripes plus its own interface
 // table.
 func (st *StoreOf[A]) MemoryBytes() uint64 {
@@ -511,9 +521,10 @@ func (st *StoreOf[A]) MemoryBytes() uint64 {
 	var rec routeRec[A]
 	var addr A
 	total += uint64(cap(st.recs)) * uint64(unsafe.Sizeof(rec))
+	total += uint64(cap(st.chains)) * uint64(unsafe.Sizeof(hopChain{}))
 	total += uint64(len(st.slots)) * 4
 	total += st.hops.memoryBytes()
-	// map overhead approximation: key + 8-byte value + bucket slack.
+	// map overhead approximation: key + 4-byte int32 value + bucket slack.
 	total += uint64(len(st.index)) * (uint64(unsafe.Sizeof(addr)) + 12)
 	return total
 }
@@ -522,13 +533,20 @@ func (st *StoreOf[A]) MemoryBytes() uint64 {
 // AddHop/AddHopAt/SetReached calls within them allocate nothing — the
 // allocation-regression pins depend on this.
 func (st *StoreOf[A]) Reserve(routes, hops, ifaces int) {
-	if cap(st.recs) < routes {
-		recs := make([]routeRec[A], len(st.recs), routes)
-		copy(recs, st.recs)
-		st.recs = recs
-	}
+	st.reserveRoutes(routes)
 	st.hops.reserve(hops)
 	st.ifaces.Reserve(ifaces)
+}
+
+// reserveRoutes grows the record array — and the chain array, when routes
+// are collected — to hold n routes.
+func (st *StoreOf[A]) reserveRoutes(n int) {
+	if cap(st.recs) < n {
+		st.recs = append(make([]routeRec[A], 0, n), st.recs...)
+	}
+	if st.collectRoutes && cap(st.chains) < n {
+		st.chains = append(make([]hopChain, 0, n), st.chains...)
+	}
 }
 
 // WriteJSONL writes one JSON object per route:
