@@ -228,7 +228,7 @@ func TestClusterWatchdogTimesFromRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &ClusterResult{inner: inner}
+	res := newClusterResult(inner)
 	if res.Interrupted() {
 		t.Fatal("healed scan reported Interrupted")
 	}

@@ -385,7 +385,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		n, err := res.WriteBinary(f)
+		n, err := flashroute.WriteBinary(f, res)
 		if err != nil {
 			fatal(err)
 		}

@@ -186,7 +186,7 @@ func scanRaw(ctx context.Context, o rawOpts) {
 		if err != nil {
 			fatal(err)
 		}
-		n, err := res.WriteBinary(f)
+		n, err := flashroute.WriteBinary(f, res)
 		if err != nil {
 			fatal(err)
 		}

@@ -276,84 +276,49 @@ func (c Config) toCore() core.Config {
 	return cc
 }
 
-// Hop is one discovered interface on a route.
-type Hop struct {
-	TTL  uint8
-	Addr uint32
-	RTT  time.Duration
+// Hop is one discovered interface on a route and Route the discovered
+// path to one destination; Hop6 and Route6 are their IPv6 forms.
+type (
+	Hop    = trace.HopOf[uint32]
+	Route  = trace.RouteOf[uint32]
+	Hop6   = trace.HopOf[Addr6]
+	Route6 = trace.RouteOf[Addr6]
+)
+
+// ResultOf is what a scan produced, for either address family: Result
+// for IPv4 scans, Result6 for IPv6 scans.
+type ResultOf[A comparable] struct {
+	routes[A]
+	inner *core.ResultOf[A]
 }
 
-// Route is the discovered path to one destination.
-type Route struct {
-	Dst     uint32
-	Hops    []Hop
-	Reached bool
-	Length  uint8
-}
+type (
+	Result  = ResultOf[uint32]
+	Result6 = ResultOf[Addr6]
+)
 
-// Result is what a scan produced.
-type Result struct {
-	inner *core.Result
+func newResult[A comparable](res *core.ResultOf[A]) *ResultOf[A] {
+	return &ResultOf[A]{routes: routes[A]{res.Store}, inner: res}
 }
 
 // Probes returns the total probe count (preprobing and extra scans
 // included).
-func (r *Result) Probes() uint64 { return r.inner.ProbesSent }
+func (r *ResultOf[A]) Probes() uint64 { return r.inner.ProbesSent }
 
 // PreprobeProbes returns the probes spent in the preprobing phase.
-func (r *Result) PreprobeProbes() uint64 { return r.inner.PreprobeProbes }
+func (r *ResultOf[A]) PreprobeProbes() uint64 { return r.inner.PreprobeProbes }
 
 // ScanTime returns the scan's total duration on its clock.
-func (r *Result) ScanTime() time.Duration { return r.inner.ScanTime }
+func (r *ResultOf[A]) ScanTime() time.Duration { return r.inner.ScanTime }
 
 // Rounds returns the number of main probing rounds.
-func (r *Result) Rounds() int { return r.inner.Rounds }
-
-// InterfaceCount returns the number of unique responding interfaces.
-func (r *Result) InterfaceCount() int { return r.inner.Store.Interfaces().Len() }
-
-// HasInterface reports whether the given address was discovered.
-func (r *Result) HasInterface(addr uint32) bool { return r.inner.Store.Interfaces().Has(addr) }
-
-// ForEachInterface visits every discovered interface address.
-func (r *Result) ForEachInterface(fn func(addr uint32)) {
-	r.inner.Store.Interfaces().ForEach(fn)
-}
-
-// Route returns the discovered route to dst (nil if nothing about dst was
-// observed). Hop lists are only populated when Config.CollectRoutes was
-// set.
-func (r *Result) Route(dst uint32) *Route {
-	rt := r.inner.Store.Route(dst)
-	if rt == nil {
-		return nil
-	}
-	out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// NumRoutes returns the number of destinations with at least one
-// response.
-func (r *Result) NumRoutes() int { return r.inner.Store.NumRoutes() }
-
-// ForEachRoute visits every route with responses.
-func (r *Result) ForEachRoute(fn func(*Route)) {
-	r.inner.Store.ForEachRoute(func(rt *trace.Route) {
-		out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		fn(out)
-	})
-}
+func (r *ResultOf[A]) Rounds() int { return r.inner.Rounds }
 
 // MeasuredDistance returns the preprobe-measured hop distance of a block
 // (0 when unmeasured) and whether it came from a direct measurement or a
-// proximity-span prediction.
-func (r *Result) MeasuredDistance(block int) (distance uint8, predicted bool) {
+// proximity-span prediction. IPv6 results do not keep the per-target
+// distances and always report 0.
+func (r *ResultOf[A]) MeasuredDistance(block int) (distance uint8, predicted bool) {
 	if r.inner.Measured != nil && r.inner.Measured[block] != 0 {
 		return r.inner.Measured[block], false
 	}
@@ -364,61 +329,98 @@ func (r *Result) MeasuredDistance(block int) (distance uint8, predicted bool) {
 }
 
 // DistancesMeasured and DistancesPredicted count preprobing outcomes.
-func (r *Result) DistancesMeasured() int  { return r.inner.DistancesMeasured }
-func (r *Result) DistancesPredicted() int { return r.inner.DistancesPredicted }
+func (r *ResultOf[A]) DistancesMeasured() int  { return r.inner.DistancesMeasured }
+func (r *ResultOf[A]) DistancesPredicted() int { return r.inner.DistancesPredicted }
 
 // MismatchedResponses counts responses discarded because their quoted
 // destination failed the source-port checksum test (in-flight destination
 // modification, paper §5.3).
-func (r *Result) MismatchedResponses() uint64 { return r.inner.MismatchedResponses }
+func (r *ResultOf[A]) MismatchedResponses() uint64 { return r.inner.MismatchedResponses }
 
 // RetransmittedProbes counts probes re-issued by the loss-tolerance knobs
-// (Config.PreprobeRetries and Config.ForwardRetries); always zero with
-// both at their zero defaults.
-func (r *Result) RetransmittedProbes() uint64 { return r.inner.RetransmittedProbes }
+// (PreprobeRetries and ForwardRetries); always zero with both at their
+// zero defaults.
+func (r *ResultOf[A]) RetransmittedProbes() uint64 { return r.inner.RetransmittedProbes }
 
 // DuplicateResponses counts replies discarded because their (destination,
 // TTL) had already been processed — duplicated packets on the network, or
 // re-answers elicited by retransmitted probes.
-func (r *Result) DuplicateResponses() uint64 { return r.inner.DuplicateResponses }
+func (r *ResultOf[A]) DuplicateResponses() uint64 { return r.inner.DuplicateResponses }
 
 // ReadErrors counts receive-path read errors (transport failures distinct
 // from unparseable packets).
-func (r *Result) ReadErrors() uint64 { return r.inner.ReadErrors }
+func (r *ResultOf[A]) ReadErrors() uint64 { return r.inner.ReadErrors }
 
 // SendErrors counts probes abandoned because the transport's WritePacket
-// failed permanently or exhausted Config.SendRetries.
-func (r *Result) SendErrors() uint64 { return r.inner.SendErrors }
+// failed permanently or exhausted SendRetries.
+func (r *ResultOf[A]) SendErrors() uint64 { return r.inner.SendErrors }
 
 // SendRetries counts write attempts re-issued after transient
 // (Temporary()) transport failures.
-func (r *Result) SendRetries() uint64 { return r.inner.SendRetries }
+func (r *ResultOf[A]) SendRetries() uint64 { return r.inner.SendRetries }
 
-// CheckpointErrors counts snapshots Config.CheckpointSink failed to
-// persist (the scan continues regardless).
-func (r *Result) CheckpointErrors() uint64 { return r.inner.CheckpointErrors }
+// CheckpointErrors counts snapshots CheckpointSink failed to persist
+// (the scan continues regardless).
+func (r *ResultOf[A]) CheckpointErrors() uint64 { return r.inner.CheckpointErrors }
 
 // Interrupted reports that the scan was cancelled before completion; the
 // result is the valid partial state at cancellation plus the CancelGrace
 // drain.
-func (r *Result) Interrupted() bool { return r.inner.Interrupted }
+func (r *ResultOf[A]) Interrupted() bool { return r.inner.Interrupted }
 
-// WriteCSV writes collected routes as CSV (destination,ttl,hop,rtt_us,
-// reached).
-func (r *Result) WriteCSV(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteCSV(w)
+// routes is the read side of a trace store, shared by ResultOf and
+// ClusterResultOf: the discovered interfaces and routes and their
+// writers.
+type routes[A comparable] struct {
+	st *trace.StoreOf[A]
 }
 
-// WriteBinary writes collected routes in the compact binary record format
-// (read back with cmd/frreport or internal/output.Reader) and returns the
-// number of records.
-func (r *Result) WriteBinary(w interface{ Write([]byte) (int, error) }) (uint64, error) {
-	return output.WriteStore(w, r.inner.Store)
+// InterfaceCount returns the number of unique responding interfaces.
+func (r routes[A]) InterfaceCount() int { return r.st.Interfaces().Len() }
+
+// HasInterface reports whether the given address was discovered.
+func (r routes[A]) HasInterface(addr A) bool { return r.st.Interfaces().Has(addr) }
+
+// ForEachInterface visits every discovered interface address.
+func (r routes[A]) ForEachInterface(fn func(addr A)) { r.st.Interfaces().ForEach(fn) }
+
+// NumRoutes returns the number of destinations with at least one
+// response.
+func (r routes[A]) NumRoutes() int { return r.st.NumRoutes() }
+
+// ReachedCount returns how many destinations answered.
+func (r routes[A]) ReachedCount() int { return r.st.ReachedCount() }
+
+// Route returns the discovered route to dst, hops sorted by TTL, or nil
+// if nothing about dst was observed. Hop lists are populated only when
+// the scan's CollectRoutes was set. The route is a fresh copy: the
+// caller may keep and modify it.
+func (r routes[A]) Route(dst A) *trace.RouteOf[A] { return r.st.Route(dst) }
+
+// ForEachRoute visits every route with responses, each a fresh copy fn
+// may keep and modify. The order is unspecified (with Receivers > 1 it
+// follows the receive stripes); WriteJSONL and WriteCSV emit in
+// ascending destination order.
+func (r routes[A]) ForEachRoute(fn func(*trace.RouteOf[A])) { r.st.ForEachRoute(fn) }
+
+// WriteJSONL writes collected routes as one JSON object per line, in
+// ascending destination order.
+func (r routes[A]) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
+	return r.st.WriteJSONL(w)
 }
 
-// WriteJSONL writes collected routes as one JSON object per line.
-func (r *Result) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.Store.WriteJSONL(w)
+// WriteCSV writes collected routes as CSV rows
+// (destination,ttl,hop,rtt_us,reached), in ascending destination order.
+func (r routes[A]) WriteCSV(w interface{ Write([]byte) (int, error) }) error {
+	return r.st.WriteCSV(w)
+}
+
+// WriteBinary writes the collected routes of an IPv4 scan in the compact
+// binary record format (read back with cmd/frreport or
+// internal/output.Reader) and returns the number of records. The format
+// has 4-byte addresses, so there is no IPv6 form.
+func WriteBinary(w interface{ Write([]byte) (int, error) }, r *Result) (uint64, error) {
+	return output.WriteStore(w, r.st)
 }
 
 // Scanner runs FlashRoute scans over an arbitrary PacketConn and Clock —
@@ -507,7 +509,7 @@ func (s *Scanner) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{inner: res}, nil
+	return newResult(res), nil
 }
 
 // FormatAddr renders an address in dotted-quad form.

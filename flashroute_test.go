@@ -2,12 +2,15 @@ package flashroute
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/flashroute/flashroute/internal/output"
+	"github.com/flashroute/flashroute/internal/trace"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -221,7 +224,7 @@ func TestBinaryOutputRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := res.WriteBinary(&buf)
+	n, err := WriteBinary(&buf, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,4 +351,68 @@ func TestConfigOverridesRespected(t *testing.T) {
 	if res2.Probes() >= res3.Probes() {
 		t.Fatalf("gap-0 should probe less: %d vs %d", res2.Probes(), res3.Probes())
 	}
+}
+
+// routeSource is the route read side every result type shares.
+type routeSource[A comparable] interface {
+	Route(dst A) *trace.RouteOf[A]
+	ForEachRoute(fn func(*trace.RouteOf[A]))
+}
+
+// scribble overwrites every field of a handed-out route in place.
+func scribble[A comparable](r *trace.RouteOf[A]) {
+	var zero A
+	for i := range r.Hops {
+		r.Hops[i] = trace.HopOf[A]{TTL: 255, Addr: zero, RTT: -1}
+	}
+	r.Dst, r.Reached, r.Length = zero, !r.Reached, r.Length+1
+}
+
+// checkRoutesCallerOwned: routes from Route and ForEachRoute are the
+// caller's to keep and modify — scribbling over them must not change
+// what a later Route(dst) returns.
+func checkRoutesCallerOwned[A comparable](t *testing.T, res routeSource[A]) {
+	t.Helper()
+	want := make(map[A]*trace.RouteOf[A])
+	var handed []*trace.RouteOf[A]
+	res.ForEachRoute(func(r *trace.RouteOf[A]) {
+		if len(r.Hops) > 0 {
+			want[r.Dst] = &trace.RouteOf[A]{Dst: r.Dst, Hops: slices.Clone(r.Hops), Reached: r.Reached, Length: r.Length}
+			handed = append(handed, r)
+		}
+	})
+	if len(want) == 0 {
+		t.Fatal("no route with hops to check")
+	}
+	for _, r := range handed {
+		scribble(r)
+	}
+	for dst, w := range want {
+		scribble(res.Route(dst))
+		if got := res.Route(dst); !reflect.DeepEqual(got, w) {
+			t.Fatalf("Route(%v) = %+v after the caller modified earlier copies, want %+v", dst, got, w)
+		}
+	}
+}
+
+// TestRoutesAreCallerOwned runs checkRoutesCallerOwned over an IPv4, an
+// IPv6 and a two-worker cluster result.
+func TestRoutesAreCallerOwned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CollectRoutes = true
+	v4, err := NewSimulation(SimConfig{Blocks: 256, Seed: 3}).Scan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoutesCallerOwned(t, v4)
+	v6, err := NewSimulation6(Sim6Config{Prefixes: 32, TargetsPerPrefix: 8, Seed: 3}).Scan(Config6{CollectRoutes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoutesCallerOwned(t, v6)
+	cl, err := NewSimulation(SimConfig{Blocks: 256, Seed: 3}).ScanCluster(cfg, ClusterOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRoutesCallerOwned(t, cl)
 }

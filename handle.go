@@ -5,62 +5,84 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/flashroute/flashroute/internal/core"
 	"github.com/flashroute/flashroute/internal/core6"
 )
 
-// scanHandle is the family-independent half of a running scan: live
-// progress, rate retargeting, cancellation and completion signaling.
-// The family-specific handle types embed it and add the typed result.
-type scanHandle struct {
+// ScanHandleOf is a running scan of either address family, started with
+// StartScan or StartResumeScan on a Simulation (ScanHandle) or a
+// Simulation6 (ScanHandle6): poll Probes for live progress, retarget the
+// rate with SetRate, Cancel for a graceful partial result, and Wait (or
+// select on Done) for completion.
+type ScanHandleOf[A comparable] struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 	probes  atomic.Uint64
 	setRate func(pps int)
-	err     error // written before done closes, read after
+	res     *ResultOf[A] // written before done closes, read after
+	err     error
 }
+
+type (
+	ScanHandle  = ScanHandleOf[uint32]
+	ScanHandle6 = ScanHandleOf[Addr6]
+)
 
 // Probes returns the number of probes issued so far — a monotone live
 // progress counter, safe to read from any goroutine while the scan runs.
-func (h *scanHandle) Probes() uint64 { return h.probes.Load() }
+func (h *ScanHandleOf[A]) Probes() uint64 { return h.probes.Load() }
 
 // SetRate retargets the scan's aggregate probing rate (see
 // Scanner.SetRate). Safe from any goroutine while the scan runs; calls
 // after completion are harmless no-ops on the finished scanner.
-func (h *scanHandle) SetRate(pps int) { h.setRate(pps) }
+func (h *ScanHandleOf[A]) SetRate(pps int) { h.setRate(pps) }
 
 // Cancel requests graceful cancellation: the scan stops sending, drains
 // in-flight replies, writes a final checkpoint when checkpointing is
 // armed, and completes with a valid partial result (Interrupted set).
-func (h *scanHandle) Cancel() { h.cancel() }
+func (h *ScanHandleOf[A]) Cancel() { h.cancel() }
 
 // Done is closed when the scan has completed and its result is ready.
-func (h *scanHandle) Done() <-chan struct{} { return h.done }
-
-// ScanHandle is a running IPv4 scan started with Simulation.StartScan or
-// Simulation.StartResumeScan: poll Probes for live progress, retarget the
-// rate with SetRate, Cancel for a graceful partial result, and Wait (or
-// select on Done) for completion.
-type ScanHandle struct {
-	scanHandle
-	res *Result
-}
+func (h *ScanHandleOf[A]) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the scan completes and returns its result.
-func (h *ScanHandle) Wait() (*Result, error) {
+func (h *ScanHandleOf[A]) Wait() (*ResultOf[A], error) {
 	<-h.done
 	return h.res, h.err
 }
 
-// ScanHandle6 is ScanHandle for IPv6 scans.
-type ScanHandle6 struct {
-	scanHandle
-	res *Result6
+// countingObserver wraps the caller's observer (nil allowed) so the
+// handle counts every probe.
+func (h *ScanHandleOf[A]) countingObserver(user func(A, uint8, time.Duration)) func(A, uint8, time.Duration) {
+	return func(dst A, ttl uint8, at time.Duration) {
+		h.probes.Add(1)
+		if user != nil {
+			user(dst, ttl, at)
+		}
+	}
 }
 
-// Wait blocks until the scan completes and returns its result.
-func (h *ScanHandle6) Wait() (*Result6, error) {
-	<-h.done
-	return h.res, h.err
+// engine is the scanner a handle drives, of either family.
+type engine[A comparable] interface {
+	SetRate(pps int)
+	RunContext(ctx context.Context) (*core.ResultOf[A], error)
+}
+
+func (h *ScanHandleOf[A]) start(ctx context.Context, sc engine[A]) {
+	ctx, cancel := context.WithCancel(ctx)
+	h.cancel = cancel
+	h.done = make(chan struct{})
+	h.setRate = sc.SetRate
+	go func() {
+		defer cancel()
+		res, err := sc.RunContext(ctx)
+		if err != nil {
+			h.err = err
+		} else {
+			h.res = newResult(res)
+		}
+		close(h.done)
+	}()
 }
 
 // StartScan begins a scan asynchronously and returns a handle to it.
@@ -76,7 +98,7 @@ func (s *Simulation) StartScan(ctx context.Context, cfg Config) (*ScanHandle, er
 	if err != nil {
 		return nil, err
 	}
-	h.start(ctx, sc)
+	h.start(ctx, sc.inner)
 	return h, nil
 }
 
@@ -92,29 +114,8 @@ func (s *Simulation) StartResumeScan(ctx context.Context, cfg Config, snapshot [
 	if err != nil {
 		return nil, err
 	}
-	h.start(ctx, sc)
+	h.start(ctx, sc.inner)
 	return h, nil
-}
-
-func (h *ScanHandle) countingObserver(user func(uint32, uint8, time.Duration)) func(uint32, uint8, time.Duration) {
-	return func(dst uint32, ttl uint8, at time.Duration) {
-		h.probes.Add(1)
-		if user != nil {
-			user(dst, ttl, at)
-		}
-	}
-}
-
-func (h *ScanHandle) start(ctx context.Context, sc *Scanner) {
-	ctx, cancel := context.WithCancel(ctx)
-	h.cancel = cancel
-	h.done = make(chan struct{})
-	h.setRate = sc.SetRate
-	go func() {
-		defer cancel()
-		h.res, h.err = sc.RunContext(ctx)
-		close(h.done)
-	}()
 }
 
 // StartScan begins an IPv6 scan asynchronously; same contract as
@@ -143,30 +144,4 @@ func (s *Simulation6) StartResumeScan(ctx context.Context, cfg Config6, snapshot
 	}
 	h.start(ctx, sc)
 	return h, nil
-}
-
-func (h *ScanHandle6) countingObserver(user func(Addr6, uint8, time.Duration)) func(Addr6, uint8, time.Duration) {
-	return func(dst Addr6, ttl uint8, at time.Duration) {
-		h.probes.Add(1)
-		if user != nil {
-			user(dst, ttl, at)
-		}
-	}
-}
-
-func (h *ScanHandle6) start(ctx context.Context, sc *core6.Scanner) {
-	ctx, cancel := context.WithCancel(ctx)
-	h.cancel = cancel
-	h.done = make(chan struct{})
-	h.setRate = sc.SetRate
-	go func() {
-		defer cancel()
-		res, err := sc.RunContext(ctx)
-		if err != nil {
-			h.err = err
-		} else {
-			h.res = &Result6{inner: res}
-		}
-		close(h.done)
-	}()
 }

@@ -2,44 +2,24 @@ package flashroute
 
 import (
 	"context"
-	"sort"
+	"maps"
 	"testing"
 	"time"
 )
 
-// ifaceSet collects the discovered interface set in sorted order — the
-// public-API fingerprint used by the handle tests.
-func ifaceSet(r *Result) []uint32 {
-	var out []uint32
-	r.ForEachInterface(func(a uint32) { out = append(out, a) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+// ifaceSet collects the discovered interface set — the public-API
+// fingerprint used by the handle tests.
+func ifaceSet[A comparable](r *ResultOf[A]) map[A]bool {
+	out := make(map[A]bool)
+	r.ForEachInterface(func(a A) { out[a] = true })
 	return out
 }
 
-func equalSets(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestScanHandleLifecycle: a StartScan handle must report monotone
+// checkHandleLifecycle: a StartScan handle must report monotone
 // progress, complete, and produce exactly what a synchronous Scan of the
-// same seed produces.
-func TestScanHandleLifecycle(t *testing.T) {
-	const blocks, seed = 512, 7
-	direct, err := NewSimulation(SimConfig{Blocks: blocks, Seed: seed}).Scan(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sim := NewSimulation(SimConfig{Blocks: blocks, Seed: seed})
-	h, err := sim.StartScan(context.Background(), DefaultConfig())
+// same seed (direct) produces.
+func checkHandleLifecycle[A comparable](t *testing.T, direct *ResultOf[A], h *ScanHandleOf[A], err error) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +47,39 @@ func TestScanHandleLifecycle(t *testing.T) {
 	if h.Probes() != res.Probes() {
 		t.Fatalf("handle counted %d probes, result has %d", h.Probes(), res.Probes())
 	}
-	if !equalSets(ifaceSet(res), ifaceSet(direct)) {
-		t.Fatalf("handle scan found %d interfaces, direct scan %d",
-			res.InterfaceCount(), direct.InterfaceCount())
+	if !maps.Equal(ifaceSet(res), ifaceSet(direct)) || res.ReachedCount() != direct.ReachedCount() {
+		t.Fatalf("handle scan: %d interfaces / %d reached, direct: %d / %d",
+			res.InterfaceCount(), res.ReachedCount(),
+			direct.InterfaceCount(), direct.ReachedCount())
 	}
 }
 
-// TestScanHandleCancel: cancelling a handle mid-scan yields a valid
-// partial result with Interrupted set.
-func TestScanHandleCancel(t *testing.T) {
-	sim := NewSimulation(SimConfig{Blocks: 2048, Seed: 3, RealTime: true})
-	cfg := DefaultConfig()
-	cfg.PPS = 2_000 // slow enough that cancellation lands mid-scan
-	cfg.CancelGrace = 50 * time.Millisecond
-	h, err := sim.StartScan(context.Background(), cfg)
+func TestScanHandleLifecycle(t *testing.T) {
+	mk := func() *Simulation { return NewSimulation(SimConfig{Blocks: 512, Seed: 7}) }
+	direct, err := mk().Scan(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := mk().StartScan(context.Background(), DefaultConfig())
+	checkHandleLifecycle(t, direct, h, err)
+}
+
+func TestScanHandle6Lifecycle(t *testing.T) {
+	mk := func() *Simulation6 {
+		return NewSimulation6(Sim6Config{Prefixes: 64, TargetsPerPrefix: 16, Seed: 5})
+	}
+	direct, err := mk().Scan(Config6{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := mk().StartScan(context.Background(), Config6{})
+	checkHandleLifecycle(t, direct, h, err)
+}
+
+// checkHandleCancel: cancelling a handle mid-scan yields a valid partial
+// result with Interrupted set.
+func checkHandleCancel[A comparable](t *testing.T, h *ScanHandleOf[A], err error) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +91,32 @@ func TestScanHandleCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res == nil {
+		t.Fatal("Wait after Cancel returned nil result")
+	}
 	if !res.Interrupted() {
 		t.Fatal("cancelled scan not marked Interrupted")
 	}
 	if res.Probes() == 0 {
 		t.Fatal("partial result has no probes")
 	}
+}
+
+// The cancel tests run at a rate slow enough that cancellation lands
+// mid-scan.
+func TestScanHandleCancel(t *testing.T) {
+	sim := NewSimulation(SimConfig{Blocks: 2048, Seed: 3, RealTime: true})
+	cfg := DefaultConfig()
+	cfg.PPS = 2_000
+	cfg.CancelGrace = 50 * time.Millisecond
+	h, err := sim.StartScan(context.Background(), cfg)
+	checkHandleCancel(t, h, err)
+}
+
+func TestScanHandle6Cancel(t *testing.T) {
+	sim := NewSimulation6(Sim6Config{Prefixes: 512, TargetsPerPrefix: 16, Seed: 3, RealTime: true})
+	h, err := sim.StartScan(context.Background(), Config6{PPS: 2_000, CancelGrace: 50 * time.Millisecond})
+	checkHandleCancel(t, h, err)
 }
 
 // TestScanHandleSetRate: retargeting the rate through a handle mid-scan
@@ -132,7 +151,7 @@ func TestScanHandleSetRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSets(ifaceSet(res), ifaceSet(direct)) {
+	if !maps.Equal(ifaceSet(res), ifaceSet(direct)) {
 		t.Fatalf("rate retarget changed discovery: %d interfaces, want %d",
 			res.InterfaceCount(), direct.InterfaceCount())
 	}
@@ -159,61 +178,4 @@ func TestNewSimulationCIDRs(t *testing.T) {
 		}
 	}()
 	NewSimulation(SimConfig{CIDRs: []string{"10.0.0.0/8x"}})
-}
-
-// TestScanHandle6Cancel: Wait after Cancel on the IPv6 handle returns a
-// valid partial result with Interrupted set, mirroring the IPv4 contract
-// pinned by TestScanHandleCancel.
-func TestScanHandle6Cancel(t *testing.T) {
-	sim := NewSimulation6(Sim6Config{Prefixes: 512, TargetsPerPrefix: 16, Seed: 3, RealTime: true})
-	cfg := Config6{PPS: 2_000, CancelGrace: 50 * time.Millisecond}
-	h, err := sim.StartScan(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h.Probes() < 500 {
-		time.Sleep(time.Millisecond)
-	}
-	h.Cancel()
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil {
-		t.Fatal("Wait after Cancel returned nil result")
-	}
-	if !res.Interrupted() {
-		t.Fatal("cancelled scan not marked Interrupted")
-	}
-	if res.Probes() == 0 {
-		t.Fatal("partial result has no probes")
-	}
-}
-
-// TestScanHandle6Lifecycle: the IPv6 handle mirrors the IPv4 contract —
-// monotone progress and a result identical to the synchronous scan.
-func TestScanHandle6Lifecycle(t *testing.T) {
-	mk := func() *Simulation6 {
-		return NewSimulation6(Sim6Config{Prefixes: 64, TargetsPerPrefix: 16, Seed: 5})
-	}
-	direct, err := mk().Scan(Config6{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := mk().StartScan(context.Background(), Config6{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Probes() != res.Probes() {
-		t.Fatalf("handle counted %d probes, result has %d", h.Probes(), res.Probes())
-	}
-	if res.InterfaceCount() != direct.InterfaceCount() || res.ReachedCount() != direct.ReachedCount() {
-		t.Fatalf("handle scan: %d interfaces / %d reached, direct: %d / %d",
-			res.InterfaceCount(), res.ReachedCount(),
-			direct.InterfaceCount(), direct.ReachedCount())
-	}
 }

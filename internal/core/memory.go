@@ -51,8 +51,8 @@ func (f Footprint) Total() uint64 {
 // engine's own pre-sizing (entriesHint).
 const (
 	estHopsPerRoute = 16
-	estRecBytes     = 8 + 12 // dst(4) + length/reached + pad; head/tail/nhops when routes are collected
-	estHopBytes     = 17     // addr(4) + rtt(8) + next(4) + ttl(1), v4 slab
+	estRecBytes     = 8 + 8 // dst(4) + length/reached + pad; head/tail when routes are collected
+	estHopBytes     = 17    // addr(4) + rtt(8) + next(4) + ttl(1), v4 slab
 )
 
 // entriesHint is the engine's pre-sizing for its two address sets, the

@@ -51,7 +51,7 @@ func TestBatch6EquivalenceGrid(t *testing.T) {
 		}
 		base := mk().run(t)
 		baseFP := fpOf6(base, mk().cfg.Targets)
-		if base.InterfaceCount() == 0 {
+		if base.Store.Interfaces().Len() == 0 {
 			t.Fatalf("seed %d: degenerate baseline", seed)
 		}
 		for _, senders := range []int{1, 4} {
@@ -75,7 +75,7 @@ func TestBatch6EquivalenceGrid(t *testing.T) {
 				if fp := fpOf6(res, e.cfg.Targets); fp != baseFP {
 					t.Errorf("seed=%d senders=%d receivers=%d batch=32: fingerprint %#x, want %#x (interfaces %d vs %d)",
 						seed, senders, receivers, fp, baseFP,
-						res.InterfaceCount(), base.InterfaceCount())
+						res.Store.Interfaces().Len(), base.Store.Interfaces().Len())
 				}
 			}
 		}

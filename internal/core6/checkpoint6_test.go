@@ -18,7 +18,7 @@ func TestResume6Equivalence(t *testing.T) {
 	base := newLockstepEnv6(t, prefixes, perPrefix, seed)
 	baseline := base.run(t)
 	baseFP := fpOf6(baseline, base.cfg.Targets)
-	if baseline.InterfaceCount() == 0 {
+	if baseline.Store.Interfaces().Len() == 0 {
 		t.Fatal("degenerate baseline")
 	}
 
@@ -67,7 +67,7 @@ func TestResume6Equivalence(t *testing.T) {
 	}
 	if fp := fpOf6(resumed, e2.cfg.Targets); fp != baseFP {
 		t.Errorf("resumed fingerprint %#x, want %#x (interfaces %d vs %d, reached %d vs %d)",
-			fp, baseFP, resumed.InterfaceCount(), baseline.InterfaceCount(),
+			fp, baseFP, resumed.Store.Interfaces().Len(), baseline.Store.Interfaces().Len(),
 			len(reachedSet6(resumed, e2.cfg.Targets)), len(reachedSet6(baseline, base.cfg.Targets)))
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
-	"sort"
 	"time"
 
 	"github.com/flashroute/flashroute/internal/core"
@@ -145,118 +143,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Hop is a discovered interface on a route.
-type Hop struct {
-	TTL  uint8
-	Addr probe6.Addr
-	RTT  time.Duration
-}
-
-// Route is the discovered path to one target.
-type Route struct {
-	Dst     probe6.Addr
-	Hops    []Hop
-	Reached bool
-	Length  uint8
-}
-
-// Result is what a scan produced.
-type Result struct {
-	ProbesSent     uint64
-	PreprobeProbes uint64
-	ScanTime       time.Duration
-	Rounds         int
-
-	DistancesMeasured  int
-	DistancesPredicted int
-
-	MismatchedResponses uint64
-	UnparsedResponses   uint64
-	ReadErrors          uint64
-
-	// RetransmittedProbes / DuplicateResponses report the loss-tolerance
-	// machinery: probes re-issued by preprobe and forward-gap retries,
-	// and replies discarded by the duplicate guard.
-	RetransmittedProbes uint64
-	DuplicateResponses  uint64
-
-	// SendErrors / SendRetries report the transport fault tolerance:
-	// probes abandoned on permanent write failure and transient-failure
-	// retry attempts. CheckpointErrors counts CheckpointSink failures.
-	// Interrupted reports cancellation before completion.
-	SendErrors       uint64
-	SendRetries      uint64
-	CheckpointErrors uint64
-	Interrupted      bool
-
-	store *trace.StoreOf[probe6.Addr]
-}
-
-// InterfaceCount returns the number of unique router interfaces found.
-func (r *Result) InterfaceCount() int { return r.store.Interfaces().Len() }
-
-// HasInterface reports whether addr was discovered.
-func (r *Result) HasInterface(a probe6.Addr) bool { return r.store.Interfaces().Has(a) }
-
-// Interfaces returns the discovered router interfaces in ascending
-// address order.
-func (r *Result) Interfaces() []probe6.Addr {
-	set := r.store.Interfaces()
-	out := make([]probe6.Addr, 0, set.Len())
-	for a := range set.All() {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i][:], out[j][:]) < 0
-	})
-	return out
-}
-
-// Route returns the route traced to a target (nil if no responses), with
-// hops sorted by TTL.
-func (r *Result) Route(a probe6.Addr) *Route {
-	rt := r.store.Route(a)
-	if rt == nil {
-		return nil
-	}
-	out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// ForEachRoute visits every target with at least one response, hops
-// sorted by TTL.
-func (r *Result) ForEachRoute(fn func(*Route)) {
-	r.store.ForEachRoute(func(rt *trace.RouteOf[probe6.Addr]) {
-		out := &Route{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		sort.Slice(out.Hops, func(i, j int) bool { return out.Hops[i].TTL < out.Hops[j].TTL })
-		fn(out)
-	})
-}
-
-// WriteJSONL writes the stored routes as one JSON object per line, in
-// ascending destination order (hop lists require Config.CollectRoutes).
-func (r *Result) WriteJSONL(w io.Writer) error { return r.store.WriteJSONL(w) }
-
-// WriteCSV writes the stored routes as CSV rows in ascending destination
-// order (destination,ttl,hop,rtt_us,reached).
-func (r *Result) WriteCSV(w io.Writer) error { return r.store.WriteCSV(w) }
-
-// ReachedCount returns how many targets answered.
-func (r *Result) ReachedCount() int {
-	n := 0
-	r.store.ForEachRoute(func(rt *trace.RouteOf[probe6.Addr]) {
-		if rt.Reached {
-			n++
-		}
-	})
-	return n
-}
+// Hop, Route and Result are the generic engine's types at probe6.Addr:
+// Result.Store holds the discovered interfaces and routes (read them with
+// the trace store's Interfaces, Route, ForEachRoute, ReachedCount and
+// writers).
+type (
+	Hop    = trace.HopOf[probe6.Addr]
+	Route  = trace.RouteOf[probe6.Addr]
+	Result = core.ResultOf[probe6.Addr]
+)
 
 // family6 supplies the IPv6 wire formats and bounds to the generic
 // engine.
@@ -489,26 +384,12 @@ func (s *Scanner) Run() (*Result, error) {
 // partial result with Interrupted set (writing a final checkpoint when
 // checkpointing is armed).
 func (s *Scanner) RunContext(ctx context.Context) (*Result, error) {
-	eres, err := s.inner.RunContext(ctx)
+	res, err := s.inner.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		ProbesSent:          eres.ProbesSent,
-		PreprobeProbes:      eres.PreprobeProbes,
-		ScanTime:            eres.ScanTime,
-		Rounds:              eres.Rounds,
-		DistancesMeasured:   eres.DistancesMeasured,
-		DistancesPredicted:  eres.DistancesPredicted,
-		MismatchedResponses: eres.MismatchedResponses,
-		UnparsedResponses:   eres.UnparsedResponses,
-		ReadErrors:          eres.ReadErrors,
-		RetransmittedProbes: eres.RetransmittedProbes,
-		DuplicateResponses:  eres.DuplicateResponses,
-		SendErrors:          eres.SendErrors,
-		SendRetries:         eres.SendRetries,
-		CheckpointErrors:    eres.CheckpointErrors,
-		Interrupted:         eres.Interrupted,
-		store:               eres.Store,
-	}, nil
+	// The per-target distance arrays are scan working state; an IPv6
+	// result does not keep them (2 B per target).
+	res.Measured, res.Predicted = nil, nil
+	return res, nil
 }

@@ -50,19 +50,19 @@ func (e *env) run(t testing.TB) *Result {
 func TestScan6Completes(t *testing.T) {
 	e := newEnv(t, 128, 8, 1)
 	res := e.run(t)
-	if res.ProbesSent == 0 || res.InterfaceCount() == 0 {
-		t.Fatalf("empty scan: %d probes %d ifaces", res.ProbesSent, res.InterfaceCount())
+	if res.ProbesSent == 0 || res.Store.Interfaces().Len() == 0 {
+		t.Fatalf("empty scan: %d probes %d ifaces", res.ProbesSent, res.Store.Interfaces().Len())
 	}
-	if res.ReachedCount() == 0 {
+	if res.Store.ReachedCount() == 0 {
 		t.Fatal("no targets reached")
 	}
 	// Candidate lists are pre-filtered; most targets should answer.
-	frac := float64(res.ReachedCount()) / float64(len(e.cfg.Targets))
+	frac := float64(res.Store.ReachedCount()) / float64(len(e.cfg.Targets))
 	if frac < 0.3 {
 		t.Fatalf("reached fraction %.2f too low for a candidate list", frac)
 	}
 	t.Logf("ipv6: %d targets, %d probes, %d ifaces, %d reached, %v",
-		len(e.cfg.Targets), res.ProbesSent, res.InterfaceCount(), res.ReachedCount(), res.ScanTime)
+		len(e.cfg.Targets), res.ProbesSent, res.Store.Interfaces().Len(), res.Store.ReachedCount(), res.ScanTime)
 }
 
 // TestPreprobe6MeasuresDistances: the one-probe distance measurement must
@@ -92,12 +92,12 @@ func TestRedundancyElimination6(t *testing.T) {
 	if resOff.ProbesSent < resOn.ProbesSent*3/2 {
 		t.Fatalf("elimination saved too little: on=%d off=%d", resOn.ProbesSent, resOff.ProbesSent)
 	}
-	if float64(resOn.InterfaceCount()) < 0.9*float64(resOff.InterfaceCount()) {
+	if float64(resOn.Store.Interfaces().Len()) < 0.9*float64(resOff.Store.Interfaces().Len()) {
 		t.Fatalf("elimination lost interfaces: %d vs %d",
-			resOn.InterfaceCount(), resOff.InterfaceCount())
+			resOn.Store.Interfaces().Len(), resOff.Store.Interfaces().Len())
 	}
 	t.Logf("on: %d probes/%d ifaces; off: %d probes/%d ifaces",
-		resOn.ProbesSent, resOn.InterfaceCount(), resOff.ProbesSent, resOff.InterfaceCount())
+		resOn.ProbesSent, resOn.Store.Interfaces().Len(), resOff.ProbesSent, resOff.Store.Interfaces().Len())
 }
 
 // TestRoutes6AreCoherent: collected routes match the simulator's ground
@@ -108,7 +108,7 @@ func TestRoutes6AreCoherent(t *testing.T) {
 	res := e.run(t)
 	checked := 0
 	for _, dst := range e.cfg.Targets {
-		r := res.Route(dst)
+		r := res.Store.Route(dst)
 		if r == nil || !r.Reached {
 			continue
 		}
@@ -203,7 +203,7 @@ func TestSparseIndexIgnoresForeignResponses(t *testing.T) {
 	if res.UnparsedResponses != 1 {
 		t.Fatalf("foreign response not dropped: unparsed=%d", res.UnparsedResponses)
 	}
-	if res.InterfaceCount() != 0 {
-		t.Fatalf("foreign response misattributed: %d interfaces", res.InterfaceCount())
+	if res.Store.Interfaces().Len() != 0 {
+		t.Fatalf("foreign response misattributed: %d interfaces", res.Store.Interfaces().Len())
 	}
 }

@@ -2,21 +2,30 @@ package core6
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/flashroute/flashroute/internal/probe6"
 )
 
+// sortedIfaces returns the discovered interfaces in ascending address
+// order.
+func sortedIfaces(res *Result) []probe6.Addr {
+	out := slices.Collect(res.Store.Interfaces().All())
+	slices.SortFunc(out, func(a, b probe6.Addr) int { return bytes.Compare(a[:], b[:]) })
+	return out
+}
+
 // fpOf6 fingerprints a FlashRoute6 scan's discovered topology: FNV-1a
 // over the sorted interface set and the sorted reached-target set. Probe
 // order and timing do not enter the fingerprint, only what was
 // discovered — the IPv6 analogue of the IPv4 engine's fpOf.
 func fpOf6(res *Result, targets []probe6.Addr) uint64 {
-	ifaces := res.Interfaces()
+	ifaces := sortedIfaces(res)
 	var reached []probe6.Addr
 	for _, dst := range targets {
-		if rt := res.Route(dst); rt != nil && rt.Reached {
+		if rt := res.Store.Route(dst); rt != nil && rt.Reached {
 			reached = append(reached, dst)
 		}
 	}
@@ -65,9 +74,9 @@ func TestGoldenFingerprint6(t *testing.T) {
 		if res.ProbesSent != tc.probes {
 			t.Errorf("seed %d: probes %d, want %d", tc.seed, res.ProbesSent, tc.probes)
 		}
-		if res.InterfaceCount() == 0 || res.ReachedCount() == 0 {
+		if res.Store.Interfaces().Len() == 0 || res.Store.ReachedCount() == 0 {
 			t.Errorf("seed %d: degenerate scan (%d interfaces, %d reached)",
-				tc.seed, res.InterfaceCount(), res.ReachedCount())
+				tc.seed, res.Store.Interfaces().Len(), res.Store.ReachedCount())
 		}
 	}
 }

@@ -29,7 +29,7 @@ func newLockstepEnv6(t testing.TB, prefixes, perPrefix int, seed int64) *env {
 func reachedSet6(res *Result, targets []probe6.Addr) map[probe6.Addr]bool {
 	m := make(map[probe6.Addr]bool)
 	for _, dst := range targets {
-		if rt := res.Route(dst); rt != nil && rt.Reached {
+		if rt := res.Store.Route(dst); rt != nil && rt.Reached {
 			m[dst] = true
 		}
 	}
@@ -90,7 +90,7 @@ func TestImpairmentDeterminism6(t *testing.T) {
 		}
 	}
 	t.Logf("probes=%d retransmits=%d dups=%d interfaces=%d",
-		r1.ProbesSent, r1.RetransmittedProbes, r1.DuplicateResponses, r1.InterfaceCount())
+		r1.ProbesSent, r1.RetransmittedProbes, r1.DuplicateResponses, r1.Store.Interfaces().Len())
 }
 
 // TestMultiSenderInvariant6: in the lockstep environment the discovered
@@ -106,7 +106,7 @@ func TestMultiSenderInvariant6(t *testing.T) {
 	one, targets := run(1)
 	four, _ := run(4)
 
-	i1, i4 := one.Interfaces(), four.Interfaces()
+	i1, i4 := sortedIfaces(one), sortedIfaces(four)
 	if len(i1) != len(i4) {
 		t.Fatalf("interface counts differ: 1 sender=%d, 4 senders=%d", len(i1), len(i4))
 	}
@@ -142,7 +142,7 @@ func TestMultiSenderImpaired6(t *testing.T) {
 	clean, targets := run(netsim6.Impairments{})
 	lossy, _ := run(netsim6.Impairments{LossProb: 0.15, DupProb: 0.05})
 
-	ci, li := clean.Interfaces(), lossy.Interfaces()
+	ci, li := sortedIfaces(clean), sortedIfaces(lossy)
 	cset := make(map[probe6.Addr]bool, len(ci))
 	for _, a := range ci {
 		cset[a] = true
@@ -204,7 +204,7 @@ func TestForwardRetry6(t *testing.T) {
 	if retried.RetransmittedProbes == 0 {
 		t.Fatal("forward retries recorded no retransmitted probes")
 	}
-	ip, ir := plain.InterfaceCount(), retried.InterfaceCount()
+	ip, ir := plain.Store.Interfaces().Len(), retried.Store.Interfaces().Len()
 	rp, rr := len(reachedSet6(plain, targets)), len(reachedSet6(retried, targets))
 	if ir < ip {
 		t.Errorf("forward retries discovered fewer interfaces: %d < %d", ir, ip)
@@ -240,7 +240,7 @@ func TestDuplicateReplyDedup6(t *testing.T) {
 		t.Error("DupProb=1 produced no counted duplicate responses")
 	}
 	for _, dst := range targets {
-		rt := duped.Route(dst)
+		rt := duped.Store.Route(dst)
 		if rt == nil {
 			continue
 		}
@@ -253,5 +253,5 @@ func TestDuplicateReplyDedup6(t *testing.T) {
 		}
 	}
 	t.Logf("interfaces=%d duplicates discarded=%d",
-		duped.InterfaceCount(), duped.DuplicateResponses)
+		duped.Store.Interfaces().Len(), duped.DuplicateResponses)
 }

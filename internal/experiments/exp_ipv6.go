@@ -79,7 +79,7 @@ func IPv6Comparison(prefixes, perPrefix int, seed int64) (*IPv6Result, error) {
 		return nil, err
 	}
 	out.FlashProbes = fres.ProbesSent
-	out.FlashInterfaces = fres.InterfaceCount()
+	out.FlashInterfaces = fres.Store.Interfaces().Len()
 	out.FlashTime = fres.ScanTime
 	out.FlashMeasured = fres.DistancesMeasured
 	out.FlashPredicted = fres.DistancesPredicted
@@ -187,7 +187,7 @@ func SenderScaling6(prefixes, perPrefix int, seed int64, senders []int) ([]Sende
 		out = append(out, SenderRateRow{
 			Senders:      k,
 			MeasuredKpps: rate / 1000,
-			Interfaces:   res.InterfaceCount(),
+			Interfaces:   res.Store.Interfaces().Len(),
 		})
 	}
 	return out, nil

@@ -863,14 +863,6 @@ func addrChecksumPort(addr uint32) uint16 {
 	return cs
 }
 
-// StubOfBlock returns, for inspection tools and tests, the identity of the
-// stub covering the block: its first block, size, and whether it is
-// routed.
-func (t *Topology) StubOfBlock(block int) (firstBlock, nBlocks int, routed bool) {
-	s := &t.stubs[t.blockStub[block]]
-	return int(s.firstBlock), int(s.nBlocks), s.routed
-}
-
 // GatewayOfBlock returns the gateway interface address of the stub routing
 // the block, or 0 for unrouted blocks.
 func (t *Topology) GatewayOfBlock(block int) uint32 {

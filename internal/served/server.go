@@ -41,12 +41,27 @@ type Config struct {
 	Now func() time.Time
 }
 
-// liveScan is the family-independent face of a running scan handle;
-// both flashroute.ScanHandle and ScanHandle6 satisfy it.
+// liveScan is the face of a running scan handle the daemon drives:
+// flashroute's ScanHandleOf and ClusterHandleOf of either family.
 type liveScan interface {
 	Probes() uint64
 	SetRate(pps int)
 	Cancel()
+}
+
+// scanResult is the face of a finished scan the daemon records:
+// flashroute's ResultOf and ClusterResultOf of either family.
+type scanResult interface {
+	Probes() uint64
+	InterfaceCount() int
+	Interrupted() bool
+	WriteJSONL(w interface{ Write([]byte) (int, error) }) error
+}
+
+// handle is a started scan handle that yields an R when it completes.
+type handle[R scanResult] interface {
+	liveScan
+	Wait() (R, error)
 }
 
 // Job is one submitted scan. Mutable fields are guarded by the server
@@ -328,132 +343,75 @@ func (s *Server) runJob(j *Job) {
 	if every == 0 {
 		every = s.cfg.CheckpointEvery
 	}
-	sink := func(snapshot []byte) error { return s.store.PutCheckpoint(j.ID, snapshot) }
-
-	if j.Spec.Type == "cluster" {
-		s.runCluster(ctx, j, rate, every)
-	} else if j.Spec.Family == FamilyV6 {
-		s.runV6(ctx, j, rate, every, sink)
-	} else {
-		s.runV4(ctx, j, rate, every, sink)
-	}
-}
-
-func (s *Server) runV4(ctx context.Context, j *Job, rate, every int, sink func([]byte) error) {
-	sim, err := flashroute.NewSimulationCIDRs(j.Spec.SimConfig())
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
-	}
-	cfg := j.Spec.ScanConfig()
-	cfg.PPS = rate
-	cfg.CheckpointEvery = every
-	cfg.CheckpointSink = sink
-	var h *flashroute.ScanHandle
-	if j.resume {
-		h, err = sim.StartResumeScan(ctx, cfg, j.snapshot)
-		if errors.Is(err, flashroute.ErrCheckpointComplete) {
-			// The previous daemon died between the scan's final snapshot
-			// and its results write: the scan is done but its output was
-			// lost. Sim-mode scans are deterministic, so a fresh run
-			// regenerates the identical result.
-			h, err = sim.StartScan(ctx, cfg)
-		}
-	} else {
-		h, err = sim.StartScan(ctx, cfg)
-	}
+	h, wait, err := s.startScan(ctx, j, rate, every)
 	if err != nil {
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
 	j.setHandle(h)
 	h.SetRate(int(j.rate.Load())) // adopt any grant change that raced the start
-	res, err := h.Wait()
+	res, err := wait()
 	if err != nil {
 		s.finishJob(j, StateFailed, err.Error(), nil)
 		return
 	}
-	final := func(state string) {
-		s.finishJob(j, state, "", &scanSummary{
-			probes: res.Probes(), interfaces: res.InterfaceCount(),
-			writeNDJSON: func(w io.Writer) error { return res.WriteJSONL(w) },
-		})
-	}
-	switch {
-	case res.Interrupted() && j.userCanceled.Load():
-		final(StateCanceled) // valid partial result
-	case res.Interrupted():
-		s.releaseInterrupted(j) // daemon stop: stays resumable
-	default:
-		final(StateDone)
-	}
-}
-
-func (s *Server) runV6(ctx context.Context, j *Job, rate, every int, sink func([]byte) error) {
-	sim := flashroute.NewSimulation6(j.Spec.Sim6Config())
-	cfg := j.Spec.Scan6Config()
-	cfg.PPS = rate
-	cfg.CheckpointEvery = every
-	cfg.CheckpointSink = sink
-	var h *flashroute.ScanHandle6
-	var err error
-	if j.resume {
-		h, err = sim.StartResumeScan(ctx, cfg, j.snapshot)
-		if errors.Is(err, flashroute.ErrCheckpointComplete) {
-			h, err = sim.StartScan(ctx, cfg)
+	state := StateDone
+	if res.Interrupted() {
+		if !j.userCanceled.Load() {
+			// Daemon stop: the job stays resumable, a cluster job from
+			// every shard's checkpoint.
+			s.releaseInterrupted(j)
+			return
 		}
-	} else {
-		h, err = sim.StartScan(ctx, cfg)
+		state = StateCanceled // valid partial result
 	}
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
+	if j.Spec.Type == "cluster" {
+		// The shard snapshots only matter while the job can still resume.
+		_ = s.store.RemoveShardCheckpoints(j.ID)
 	}
-	j.setHandle(h)
-	h.SetRate(int(j.rate.Load()))
-	res, err := h.Wait()
-	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
-	}
-	final := func(state string) {
-		s.finishJob(j, state, "", &scanSummary{
-			probes: res.Probes(), interfaces: res.InterfaceCount(),
-			writeNDJSON: func(w io.Writer) error { return res.WriteJSONL(w) },
-		})
-	}
-	switch {
-	case res.Interrupted() && j.userCanceled.Load():
-		final(StateCanceled)
-	case res.Interrupted():
-		s.releaseInterrupted(j)
-	default:
-		final(StateDone)
-	}
+	s.finishJob(j, state, "", res)
 }
 
-// clusterOutcome is the family-independent view of a finished cluster
-// scan that runCluster needs to terminate a job.
-type clusterOutcome struct {
-	interrupted bool
-	probes      uint64
-	interfaces  int
-	migrations  int
-	degraded    uint64
-	jsonl       func(io.Writer) error
-}
-
-// runCluster runs a "cluster" job: the multi-vantage coordinator of
-// DESIGN.md §13, with the spec's Workers loops sharing one global stop
-// set and the self-healing supervisor of §15 on top (armed only when
-// the daemon configures WatchdogTimeout). Every worker persists a
+// startScan starts the job's scan and returns its live handle and the
+// wait for its result. A "cluster" job runs the multi-vantage coordinator
+// of DESIGN.md §13: the spec's Workers loops share one global stop set,
+// with the self-healing supervisor of §15 on top (armed only when the
+// daemon configures WatchdogTimeout), and every worker persists a
 // per-shard checkpoint each `every` probes, so a daemon restart resumes
-// every shard from its snapshot; shard handoff inside the coordinator
-// covers worker loss while the daemon is up. At one worker with no
-// faults the resumed/re-run output is bit-identical; at K>1 the merged
-// output is deterministic given the stop-set merge log, whose
-// interleaving varies run to run (DESIGN.md §13).
-func (s *Server) runCluster(ctx context.Context, j *Job, rate, every int) {
+// every shard from its snapshot. At one worker with no faults the
+// resumed/re-run output is bit-identical; at K>1 the merged output is
+// deterministic given the stop-set merge log, whose interleaving varies
+// run to run (DESIGN.md §13).
+func (s *Server) startScan(ctx context.Context, j *Job, rate, every int) (liveScan, func() (scanResult, error), error) {
+	isCluster := j.Spec.Type == "cluster"
+	sink := func(snapshot []byte) error { return s.store.PutCheckpoint(j.ID, snapshot) }
+	if j.Spec.Family == FamilyV6 {
+		sim := flashroute.NewSimulation6(j.Spec.Sim6Config())
+		cfg := j.Spec.Scan6Config()
+		cfg.PPS = rate
+		if isCluster {
+			return started(sim.StartClusterScan(ctx, cfg, s.clusterOptions(j, every)))
+		}
+		cfg.CheckpointEvery, cfg.CheckpointSink = every, sink
+		return started(startOrResume(ctx, j, cfg, sim.StartScan, sim.StartResumeScan))
+	}
+	sim, err := flashroute.NewSimulationCIDRs(j.Spec.SimConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := j.Spec.ScanConfig()
+	cfg.PPS = rate
+	if isCluster {
+		return started(sim.StartClusterScan(ctx, cfg, s.clusterOptions(j, every)))
+	}
+	cfg.CheckpointEvery, cfg.CheckpointSink = every, sink
+	return started(startOrResume(ctx, j, cfg, sim.StartScan, sim.StartResumeScan))
+}
+
+// clusterOptions are the coordinator options of a cluster job: the
+// daemon's supervisor settings, per-shard checkpoints every `every`
+// probes, and the shard snapshots loaded for a resume.
+func (s *Server) clusterOptions(j *Job, every int) flashroute.ClusterOptions {
 	opt := flashroute.ClusterOptions{
 		Workers:         j.Spec.Workers,
 		WatchdogTimeout: s.cfg.WatchdogTimeout,
@@ -467,119 +425,58 @@ func (s *Server) runCluster(ctx context.Context, j *Job, rate, every int) {
 	if opt.Workers == 0 {
 		opt.Workers = 2
 	}
-	var h liveScan
-	var wait func() (*clusterOutcome, error)
-	if j.Spec.Family == FamilyV6 {
-		sim := flashroute.NewSimulation6(j.Spec.Sim6Config())
-		cfg := j.Spec.Scan6Config()
-		cfg.PPS = rate
-		ch, err := sim.StartClusterScan(ctx, cfg, opt)
-		if err != nil {
-			s.finishJob(j, StateFailed, err.Error(), nil)
-			return
-		}
-		h = ch
-		wait = func() (*clusterOutcome, error) {
-			res, err := ch.Wait()
-			if err != nil {
-				return nil, err
-			}
-			return &clusterOutcome{
-				interrupted: res.Interrupted(),
-				probes:      res.Probes(),
-				interfaces:  res.InterfaceCount(),
-				migrations:  res.Migrations(),
-				degraded:    res.StopSetDegraded(),
-				jsonl:       func(w io.Writer) error { return res.WriteJSONL(w) },
-			}, nil
-		}
-	} else {
-		sim, err := flashroute.NewSimulationCIDRs(j.Spec.SimConfig())
-		if err != nil {
-			s.finishJob(j, StateFailed, err.Error(), nil)
-			return
-		}
-		ch, err := sim.StartClusterScan(ctx, j.clusterConfigV4(rate), opt)
-		if err != nil {
-			s.finishJob(j, StateFailed, err.Error(), nil)
-			return
-		}
-		h = ch
-		wait = func() (*clusterOutcome, error) {
-			res, err := ch.Wait()
-			if err != nil {
-				return nil, err
-			}
-			return &clusterOutcome{
-				interrupted: res.Interrupted(),
-				probes:      res.Probes(),
-				interfaces:  res.InterfaceCount(),
-				migrations:  res.Migrations(),
-				degraded:    res.StopSetDegraded(),
-				jsonl:       func(w io.Writer) error { return res.WriteJSONL(w) },
-			}, nil
-		}
+	return opt
+}
+
+// startOrResume starts the job's scan, continuing from its checkpoint
+// when the job is being resumed.
+func startOrResume[C, H any](ctx context.Context, j *Job, cfg C,
+	start func(context.Context, C) (H, error),
+	resume func(context.Context, C, []byte) (H, error)) (H, error) {
+	if !j.resume {
+		return start(ctx, cfg)
 	}
-	j.setHandle(h)
-	h.SetRate(int(j.rate.Load()))
-	out, err := wait()
+	h, err := resume(ctx, cfg, j.snapshot)
+	if errors.Is(err, flashroute.ErrCheckpointComplete) {
+		// The previous daemon died between the scan's final snapshot
+		// and its results write: the scan is done but its output was
+		// lost. Sim-mode scans are deterministic, so a fresh run
+		// regenerates the identical result.
+		return start(ctx, cfg)
+	}
+	return h, err
+}
+
+// started adapts a typed scan handle to the job runner's view.
+func started[R scanResult](h handle[R], err error) (liveScan, func() (scanResult, error), error) {
 	if err != nil {
-		s.finishJob(j, StateFailed, err.Error(), nil)
-		return
+		return nil, nil, err
 	}
-	final := func(state string) {
-		// The shard snapshots only matter while the job can still resume.
-		_ = s.store.RemoveShardCheckpoints(j.ID)
-		s.finishJob(j, state, "", &scanSummary{
-			probes: out.probes, interfaces: out.interfaces,
-			migrations: out.migrations, degraded: out.degraded,
-			writeNDJSON: out.jsonl,
-		})
-	}
-	switch {
-	case out.interrupted && j.userCanceled.Load():
-		final(StateCanceled)
-	case out.interrupted:
-		s.releaseInterrupted(j) // restart resumes every shard from its checkpoint
-	default:
-		final(StateDone)
-	}
-}
-
-// clusterConfigV4 is the v4 scan config of a cluster job.
-func (j *Job) clusterConfigV4(rate int) flashroute.Config {
-	cfg := j.Spec.ScanConfig()
-	cfg.PPS = rate
-	return cfg
-}
-
-type scanSummary struct {
-	probes     uint64
-	interfaces int
-	migrations int    // cluster jobs: shard handoffs
-	degraded   uint64 // cluster jobs: stop-set degradation episodes
-	// writeNDJSON streams the job's NDJSON results — the store's sorted
-	// emit path — so finishing a job never holds the full output in
-	// memory alongside the result store.
-	writeNDJSON func(io.Writer) error
+	return h, func() (scanResult, error) { return h.Wait() }, nil
 }
 
 // finishJob moves a job to a terminal state, persists its record (and
-// results, when it produced any) and frees its scheduler slot.
-func (s *Server) finishJob(j *Job, state, errMsg string, sum *scanSummary) {
-	if sum != nil {
-		if err := s.store.PutResultsStream(j.ID, sum.writeNDJSON); err != nil && state != StateFailed {
+// results, when it produced any) and frees its scheduler slot. The
+// results stream from the store's sorted emit path straight to disk, so
+// finishing a job never holds the full output in memory alongside the
+// result store.
+func (s *Server) finishJob(j *Job, state, errMsg string, res scanResult) {
+	if res != nil {
+		write := func(w io.Writer) error { return res.WriteJSONL(w) }
+		if err := s.store.PutResultsStream(j.ID, write); err != nil && state != StateFailed {
 			state, errMsg = StateFailed, err.Error()
 		}
 	}
 	s.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
-	if sum != nil {
-		j.probes = sum.probes
-		j.interfaces = sum.interfaces
-		j.migrations = sum.migrations
-		j.degraded = sum.degraded
+	if res != nil {
+		j.probes = res.Probes()
+		j.interfaces = res.InterfaceCount()
+		if cl, ok := res.(clusterLive); ok {
+			j.migrations = cl.Migrations()
+			j.degraded = cl.StopSetDegraded()
+		}
 	}
 	j.release()
 	rec := s.recordLocked(j)
@@ -661,8 +558,8 @@ type JobStatus struct {
 	StopSetDegraded uint64 `json:"stopset_degraded,omitempty"`
 }
 
-// clusterLive is the extra face a running cluster handle exposes; both
-// flashroute.ClusterHandle and ClusterHandle6 satisfy it.
+// clusterLive is the extra face of a cluster scan: flashroute's
+// ClusterHandleOf and ClusterResultOf of either family.
 type clusterLive interface {
 	Migrations() int
 	StopSetDegraded() uint64
@@ -798,10 +695,3 @@ func (s *Server) Stop() {
 // Wait blocks until the job reaches a terminal state or the daemon's
 // stop releases it; test helper.
 func (j *Job) Wait() { <-j.done }
-
-// JobForTest exposes a job by ID for the test suites.
-func (s *Server) JobForTest(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}

@@ -169,11 +169,6 @@ func (st *Store) Checkpoint(id string) (snapshot []byte, ok bool, err error) {
 	return data, true, nil
 }
 
-// PutResults persists a job's NDJSON results atomically.
-func (st *Store) PutResults(id string, ndjson []byte) error {
-	return atomicWrite(st.ResultsPath(id), ndjson)
-}
-
 // PutResultsStream persists a job's NDJSON results atomically without
 // buffering them in memory: write streams into a buffered temp file
 // that is renamed over the results path on success and removed on any

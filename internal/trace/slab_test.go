@@ -66,8 +66,8 @@ func TestRouteRecSize(t *testing.T) {
 	if n := unsafe.Sizeof(routeRec[[16]byte]{}); n != 18 {
 		t.Errorf("IPv6 routeRec is %d bytes, want 18", n)
 	}
-	if n := unsafe.Sizeof(hopChain{}); n != 12 {
-		t.Errorf("hopChain is %d bytes, want 12", n)
+	if n := unsafe.Sizeof(hopChain{}); n != 8 {
+		t.Errorf("hopChain is %d bytes, want 8", n)
 	}
 	st := NewSlotStoreOf[uint32](false, nil, nil, hashU32, 1024, 0)
 	st.AddHopAt(3, 100, 5, 0xA, time.Millisecond)

@@ -77,9 +77,8 @@ type routeRec[A comparable] struct {
 // hopChain links record i's hops through the slab from head; tail makes
 // append O(1). Chains exist only when routes are collected, like the slab.
 type hopChain struct {
-	head  int32 // first hop slab index, -1 = none
-	tail  int32 // last hop slab index, -1 = none
-	nhops int32
+	head int32 // first hop slab index, -1 = none
+	tail int32 // last hop slab index, -1 = none
 }
 
 // StoreOf accumulates scan results. It is written by a single receiver
@@ -183,7 +182,6 @@ func (st *StoreOf[A]) appendHop(ri int32, ttl uint8, addr A, rtt time.Duration) 
 		c.head = h
 	}
 	c.tail = h
-	c.nhops++
 }
 
 // recAt returns the record index for (slot, dst), creating it on first
@@ -396,6 +394,20 @@ func (st *StoreOf[A]) NumRoutes() int {
 		return n
 	}
 	return len(st.recs)
+}
+
+// ReachedCount returns the number of destinations that answered.
+func (st *StoreOf[A]) ReachedCount() int {
+	n := 0
+	for _, p := range st.parts {
+		n += p.ReachedCount()
+	}
+	for i := range st.recs {
+		if st.recs[i].reached {
+			n++
+		}
+	}
+	return n
 }
 
 // ForEachRoute calls fn for every stored route, each a fresh TTL-sorted

@@ -157,103 +157,6 @@ type Config6 struct {
 	CancelGrace time.Duration
 }
 
-// Result6 is what an IPv6 scan produced.
-type Result6 struct {
-	inner *core6.Result
-}
-
-// Probes returns the total probe count.
-func (r *Result6) Probes() uint64 { return r.inner.ProbesSent }
-
-// ScanTime returns the scan duration.
-func (r *Result6) ScanTime() time.Duration { return r.inner.ScanTime }
-
-// InterfaceCount returns the unique router interfaces found.
-func (r *Result6) InterfaceCount() int { return r.inner.InterfaceCount() }
-
-// ReachedCount returns how many targets answered.
-func (r *Result6) ReachedCount() int { return r.inner.ReachedCount() }
-
-// DistancesMeasured / DistancesPredicted report preprobing coverage.
-func (r *Result6) DistancesMeasured() int  { return r.inner.DistancesMeasured }
-func (r *Result6) DistancesPredicted() int { return r.inner.DistancesPredicted }
-
-// RetransmittedProbes returns how many probes the loss-tolerance retries
-// re-issued (0 unless PreprobeRetries or ForwardRetries were set).
-func (r *Result6) RetransmittedProbes() uint64 { return r.inner.RetransmittedProbes }
-
-// DuplicateResponses returns how many replies the duplicate guard
-// discarded.
-func (r *Result6) DuplicateResponses() uint64 { return r.inner.DuplicateResponses }
-
-// ReadErrors counts receive-path read errors (transport failures distinct
-// from unparseable packets).
-func (r *Result6) ReadErrors() uint64 { return r.inner.ReadErrors }
-
-// SendErrors counts probes abandoned on permanent write failure;
-// SendRetries counts transient-failure retry attempts.
-func (r *Result6) SendErrors() uint64  { return r.inner.SendErrors }
-func (r *Result6) SendRetries() uint64 { return r.inner.SendRetries }
-
-// CheckpointErrors counts snapshots the sink failed to persist.
-func (r *Result6) CheckpointErrors() uint64 { return r.inner.CheckpointErrors }
-
-// Interrupted reports that the scan was cancelled before completion.
-func (r *Result6) Interrupted() bool { return r.inner.Interrupted }
-
-// Route6 is a discovered IPv6 route.
-type Route6 struct {
-	Dst     Addr6
-	Hops    []Hop6
-	Reached bool
-	Length  uint8
-}
-
-// Hop6 is one discovered IPv6 interface on a route.
-type Hop6 struct {
-	TTL  uint8
-	Addr Addr6
-	RTT  time.Duration
-}
-
-// Route returns the route traced to a target, or nil.
-func (r *Result6) Route(a Addr6) *Route6 {
-	rt := r.inner.Route(a)
-	if rt == nil {
-		return nil
-	}
-	out := &Route6{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-	for _, h := range rt.Hops {
-		out.Hops = append(out.Hops, Hop6{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-	}
-	return out
-}
-
-// ForEachRoute visits every route with responses (hop lists populated
-// when Config6.CollectRoutes was set), ordered by destination.
-func (r *Result6) ForEachRoute(fn func(*Route6)) {
-	r.inner.ForEachRoute(func(rt *core6.Route) {
-		out := &Route6{Dst: rt.Dst, Reached: rt.Reached, Length: rt.Length}
-		for _, h := range rt.Hops {
-			out.Hops = append(out.Hops, Hop6{TTL: h.TTL, Addr: h.Addr, RTT: h.RTT})
-		}
-		fn(out)
-	})
-}
-
-// WriteJSONL writes collected routes as one JSON object per line (the
-// same deterministic destination-ordered format as Result.WriteJSONL).
-func (r *Result6) WriteJSONL(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.WriteJSONL(w)
-}
-
-// WriteCSV writes collected routes as CSV rows
-// (destination,ttl,hop,rtt_us,reached — the same deterministic format as
-// Result.WriteCSV).
-func (r *Result6) WriteCSV(w interface{ Write([]byte) (int, error) }) error {
-	return r.inner.WriteCSV(w)
-}
-
 // toCore6 translates the public IPv6 config to the engine's, filling in
 // universe-dependent fields when unset and wiring the per-worker read
 // handles of the conn it returns.
@@ -335,7 +238,7 @@ func (s *Simulation6) ScanContext(ctx context.Context, cfg Config6) (*Result6, e
 	if err != nil {
 		return nil, err
 	}
-	return &Result6{inner: res}, nil
+	return newResult(res), nil
 }
 
 // ResumeScan continues a checkpointed IPv6 scan against this simulation
@@ -357,5 +260,5 @@ func (s *Simulation6) ResumeScanContext(ctx context.Context, cfg Config6, snapsh
 	if err != nil {
 		return nil, err
 	}
-	return &Result6{inner: res}, nil
+	return newResult(res), nil
 }
